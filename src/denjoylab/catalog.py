@@ -11,12 +11,13 @@ Three families live here:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import NonMonotoneMapError
+from .errors import NonMonotoneMapError, RootFindError
 from .maps import Arc, CircleDiffeo, periodic_lift
 from .util import continued_fraction, frac
 
@@ -28,6 +29,9 @@ DEFAULT_TENT_DEPTH = 20
 #: smallest admissible derivative-profile ratio; below it the quadratic
 #: derivative profile would dip to zero inside a piece
 MIN_PIECE_RATIO = 0.35
+
+#: argument types the Denjoy lift evaluates on plain floats
+_SCALAR_TYPES = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,34 @@ def _assert_irrational(alpha: float, N: int) -> None:
         f"alpha {alpha!r} resolves to a rational with denominator <= {window}")
 
 
+def _solve_piece(r1: float, t: float) -> float:
+    """The s in [0, 1] with s + r1 (3 - 2 s) s^2 = t.
+
+    Newton's method kept inside a shrinking bracket, falling back to
+    bisection when a step leaves it.  The derivative
+    1 + 6 r1 s (1 - s) stays positive because the piece ratio r1 + 1
+    exceeds ``MIN_PIECE_RATIO``.  A target outside [0, r1 + 1], which
+    only rounding produces, yields the nearer end of [0, 1].
+    """
+    lo, hi = 0.0, 1.0
+    s = min(max(t / (r1 + 1.0), 0.0), 1.0)
+    for _ in range(100):
+        f = s + r1 * (3.0 - 2.0 * s) * s * s - t
+        if f == 0.0:
+            return s
+        if f > 0.0:
+            hi = s
+        else:
+            lo = s
+        nxt = s - f / (1.0 + 6.0 * r1 * s * (1.0 - s))
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - s) <= 2.0 ** -53:
+            return nxt
+        s = nxt
+    raise RootFindError(f"piece inverse did not converge for r - 1 = {r1!r}, t = {t!r}")
+
+
 def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
     """Build a truncated wandering-interval diffeomorphism.
 
@@ -200,10 +232,12 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
     cum_len = np.concatenate([[0.0], np.cumsum(len_sorted)])
     start_sorted = (1.0 - mass) * theta_sorted + cum_len[:-1]
 
+    theta_list = theta_sorted.tolist()
+    cum_list = cum_len.tolist()
+
     def dust_position(t: float) -> float:
         """Circle position of angle t under the insertion-marking correspondence."""
-        k = int(np.searchsorted(theta_sorted, t, side="left"))
-        return (1.0 - mass) * t + float(cum_len[k])
+        return (1.0 - mass) * t + cum_list[bisect_left(theta_list, t)]
 
     # start position / length per signed index
     start_by_index = np.empty(2 * N + 1)
@@ -251,8 +285,20 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
 
     cut = float(src_knots[0])
     last = m_pieces - 1
+    # plain-float copies for the scalar paths, which repeat the array
+    # arithmetic below operation for operation and so agree bit for bit
+    knots, lens, rats, imgs = (a.tolist() for a in
+                               (src_knots, src_lens, ratios, img_knots))
 
     def lift(x):
+        if isinstance(x, _SCALAR_TYPES):
+            x = float(x)
+            k = math.floor(x - cut)
+            u = x - k
+            j = min(max(bisect_right(knots, u) - 1, 0), last)
+            s = (u - knots[j]) / lens[j]
+            g = s + (rats[j] - 1.0) * (3.0 - 2.0 * s) * s * s
+            return imgs[j] + lens[j] * g + k
         arr = np.asarray(x, dtype=float)
         k = np.floor(arr - cut)
         u = arr - k
@@ -263,6 +309,12 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
         return float(out) if np.ndim(x) == 0 else out
 
     def lift_derivative(x):
+        if isinstance(x, _SCALAR_TYPES):
+            x = float(x)
+            u = x - math.floor(x - cut)
+            j = min(max(bisect_right(knots, u) - 1, 0), last)
+            s = (u - knots[j]) / lens[j]
+            return 1.0 + 6.0 * (rats[j] - 1.0) * s * (1.0 - s)
         arr = np.asarray(x, dtype=float)
         u = arr - np.floor(arr - cut)
         j = np.clip(np.searchsorted(src_knots, u, side="right") - 1, 0, last)
@@ -270,7 +322,20 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
         out = 1.0 + 6.0 * (ratios[j] - 1.0) * s * (1.0 - s)
         return float(out) if np.ndim(x) == 0 else out
 
+    img0 = imgs[0]
+
+    def lift_inverse(y: float) -> float:
+        """The x with lift(x) = y: locate the piece through the image
+        knots, then solve that piece's monotone cubic for s in [0, 1]."""
+        y = float(y)
+        k = math.floor(y - img0)
+        v = y - k
+        j = min(max(bisect_right(imgs, v) - 1, 0), last)
+        return knots[j] + lens[j] * _solve_piece(rats[j] - 1.0,
+                                                 (v - imgs[j]) / lens[j]) + k
+
     base = CircleDiffeo(lift_eval=lift, lift_derivative=lift_derivative,
+                        lift_inverse=lift_inverse,
                         label=f"denjoy({alpha:.6g}, N={N}, mass={mass:g})")
 
     insertion_arcs = tuple(
@@ -301,13 +366,12 @@ def _find_dust_anchor(base: CircleDiffeo, insertion_arcs: tuple[Arc, ...],
     insertion, so a random dust point can be swallowed by the insertion
     chain; candidates are therefore screened by direct simulation.
     """
-    starts = np.array([a.start for a in insertion_arcs])
-    spans = np.array([a.length for a in insertion_arcs])
-    sort = np.argsort(starts)
-    starts, spans = starts[sort], spans[sort]
+    ordered = sorted(insertion_arcs, key=lambda a: a.start)
+    starts = [a.start for a in ordered]
+    spans = [a.length for a in ordered]
 
     def in_insertion(pos: float) -> bool:
-        k = int(np.searchsorted(starts, pos, side="right")) - 1
+        k = bisect_right(starts, pos) - 1
         return k >= 0 and pos <= starts[k] + spans[k]
 
     seed = 0.5 * (math.sqrt(5.0) - 1.0)

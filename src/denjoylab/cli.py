@@ -38,7 +38,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -401,22 +400,25 @@ def _sweep_configs(text: str) -> list[tuple[str, str]]:
     cfg = _parse_config(text)
     if not cfg.has_section("sweep"):
         return [("", text)]
-    items = cfg.items("sweep")
-    if len(items) != 1:
-        raise ConfigError("config error: [sweep] supports exactly one key")
-    key, raw = items[0]
-    values = [v.strip() for v in raw.split(",") if v.strip()]
-    if not values:
-        raise ConfigError(f"config error: [sweep] {key} lists no values")
-    out = []
-    for i, value in enumerate(values):
-        variant = configparser.ConfigParser()
-        variant.read_string(text)
-        variant.remove_section("sweep")
-        variant.set("map", key, value)
-        buf = io.StringIO()
-        variant.write(buf)
-        out.append((f"_{i:03d}", buf.getvalue()))
+    try:
+        items = cfg.items("sweep")
+        if len(items) != 1:
+            raise ConfigError("config error: [sweep] supports exactly one key")
+        key, raw = items[0]
+        values = [v.strip() for v in raw.split(",") if v.strip()]
+        if not values:
+            raise ConfigError(f"config error: [sweep] {key} lists no values")
+        out = []
+        for i, value in enumerate(values):
+            variant = configparser.ConfigParser()
+            variant.read_string(text)
+            variant.remove_section("sweep")
+            variant.set("map", key, value)
+            buf = io.StringIO()
+            variant.write(buf)
+            out.append((f"_{i:03d}", buf.getvalue()))
+    except configparser.Error as err:
+        raise ConfigError(f"config error in [sweep]: {err}") from err
     return out
 
 
@@ -436,11 +438,8 @@ def _cmd_run(args) -> int:
             written = [_write_outputs(report, out_dir, tag)]
             flagged = report.incomplete
         else:
-            with ThreadPoolExecutor(max_workers=min(4, len(variants))) as ex:
-                reports = list(ex.map(
-                    lambda pair: (pair[0],
-                                  run_experiment(pair[1], seed=args.seed)),
-                    variants))
+            reports = [(tag, run_experiment(body, seed=args.seed))
+                       for tag, body in variants]
             written = [_write_outputs(rep, out_dir, tag)
                        for tag, rep in reports]
             flagged = any(rep.incomplete for _, rep in reports)

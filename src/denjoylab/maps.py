@@ -72,12 +72,19 @@ class CircleDiffeo:
         degree_offset: always 1 for orientation-preserving degree-one maps;
             kept explicit so validation can state what it checked.
         label: human-readable tag used in reports.
+        lift_inverse: a closed-form F^{-1} on floats, or None to let
+            ``inverse_eval`` solve by bisection.  It must invert
+            ``lift_eval``: ``dataclasses.replace`` of ``lift_eval`` alone is
+            valid only for a wrapper of the same function (one that counts
+            or times calls, say); a new lift also needs a new
+            ``lift_inverse`` or None.
     """
 
     lift_eval: Callable
     lift_derivative: Callable | None = None
     degree_offset: int = 1
     label: str = ""
+    lift_inverse: Callable | None = None
 
     def lift(self, x):
         return self.lift_eval(x)
@@ -119,10 +126,14 @@ def eval_and_derivative(diffeo: CircleDiffeo, x: float) -> tuple[float, float]:
 def inverse_eval(diffeo: CircleDiffeo, y: float, tol: float = ROOT_TOL) -> float:
     """Solve F(x) = y for the lift F.
 
-    Bracketed bisection on [y - 1, y + 1] (valid whenever the displacement
-    F(x) - x stays inside (-1, 1), which holds for every catalog map),
-    followed by a Newton polish when a derivative is available.
+    Returns ``diffeo.lift_inverse(y)`` when the map carries a closed-form
+    inverse; ``tol`` is then unused.  Otherwise bracketed bisection on
+    [y - 1, y + 1] (valid whenever the displacement F(x) - x stays inside
+    (-1, 1), which holds for every catalog map), followed by a Newton
+    polish when a derivative is available.
     """
+    if diffeo.lift_inverse is not None:
+        return diffeo.lift_inverse(y)
     lo, hi = y - 1.0, y + 1.0
     flo = float(diffeo.lift_eval(lo)) - y
     fhi = float(diffeo.lift_eval(hi)) - y

@@ -1,11 +1,13 @@
 """Built-in maps and example functions."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from denjoylab import (Arc, CATALOG_ENTRIES, NonMonotoneMapError,
-                       example_function, make_denjoy, make_map,
+                       example_function, inverse_eval, make_denjoy, make_map,
                        takagi_total_variation, validate_lift)
 from denjoylab.util import frac
 
@@ -129,3 +131,69 @@ def test_denjoy_base_maps_insertions_forward(denjoy50):
         tgt = d.insertion_arc(k + 1)
         assert abs(float(img_start) - tgt.start) < 1e-8 or \
             Arc(tgt.start - 1e-8, tgt.start + 1e-8).contains(float(img_start))
+
+
+@st.composite
+def accepted_denjoy(draw):
+    """A make_denjoy map over random (alpha, N, mass) that it accepts."""
+    alpha = draw(st.floats(0.02, 0.98))
+    n = draw(st.integers(10, 120))
+    mass = draw(st.floats(0.02, 0.95))
+    try:
+        return make_denjoy(alpha, N=n, mass=mass)
+    except (ValueError, RuntimeError):
+        # parameters rejected, or no dust anchor found for them
+        assume(False)
+
+
+def _piece_knots(d):
+    """The lift's piece boundaries over one period: the insertion arcs'
+    endpoints, which alternate with the dust pieces, and the first one
+    shifted by one."""
+    ends = sorted(p for a in d.insertion_arcs for p in (a.start, a.end))
+    return np.array(ends + [ends[0] + 1.0])
+
+
+def _with_neighbours(points):
+    """The points, their integer translates, and both one-ulp neighbours
+    of every one of them."""
+    pts = np.concatenate([points + k for k in (-2.0, 0.0, 1.0, 3.0)])
+    return np.concatenate([pts, np.nextafter(pts, -np.inf),
+                           np.nextafter(pts, np.inf)])
+
+
+DENJOY_PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@DENJOY_PROPERTY
+@given(accepted_denjoy(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
+def test_denjoy_scalar_lift_matches_vector_path_bitwise(d, xs):
+    f = d.base
+    pts = _with_neighbours(np.concatenate([xs, _piece_knots(d)]))
+    lift, deriv = f.lift_eval(pts), f.lift_derivative(pts)
+    for scalars in (pts.tolist(), list(pts)):      # float, np.float64
+        assert np.array_equal([f.lift_eval(x) for x in scalars], lift)
+        assert np.array_equal([f.lift_derivative(x) for x in scalars], deriv)
+    grid = np.arange(-3.0, 4.0)
+    for ints in (list(range(-3, 4)), list(np.arange(-3, 4))):   # int, np.int64
+        assert [f.lift_eval(i) for i in ints] == f.lift_eval(grid).tolist()
+        assert [f.lift_derivative(i) for i in ints] == f.lift_derivative(grid).tolist()
+
+
+@DENJOY_PROPERTY
+@given(accepted_denjoy(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
+def test_denjoy_inverse_round_trips(d, ys):
+    f = d.base
+    img_knots = f.lift_eval(_piece_knots(d))
+    for y in _with_neighbours(np.concatenate([ys, img_knots])).tolist():
+        assert abs(f.lift_eval(inverse_eval(f, y)) - y) <= 1e-12
+
+
+@DENJOY_PROPERTY
+@given(accepted_denjoy(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
+def test_denjoy_inverse_agrees_with_bisection(d, ys):
+    f = d.base
+    generic = dataclasses.replace(f, lift_inverse=None)
+    img_knots = f.lift_eval(_piece_knots(d))
+    for y in np.concatenate([ys, img_knots]).tolist():
+        assert abs(inverse_eval(f, y) - inverse_eval(generic, y)) <= 1e-12

@@ -178,6 +178,16 @@ class TestConfigErrors:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_sweep_without_map_section(self, tmp_path, capsys):
+        text = ("[experiment]\npipeline = variation\nfunction = ex2\n\n"
+                "[sweep]\nfunction_depth = 4, 8\n")
+        rc, _ = _run(tmp_path, text)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_bad_map_value(self, tmp_path):
         text = ("[experiment]\npipeline = rotation\n\n"
                 "[map]\nkind = arnold\nalpha = 0.3\namplitude = oops\n")
