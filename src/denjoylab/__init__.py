@@ -33,8 +33,8 @@ from .errors import (DegenerateTupleError, DenjoyLabError,
                      PeriodicOrbitError, RootFindError,
                      UnresolvedExtremaError)
 from .maps import (Arc, CircleDiffeo, LiftValidationReport, arc_image,
-                   compose, conjugate, eval_and_derivative, inverse_eval,
-                   iterate, orbit_lift, periodic_lift, validate_lift)
+                   compose, conjugate, inverse_eval, orbit_lift,
+                   periodic_lift, validate_lift)
 from .rotation import RotationEstimate, birkhoff_estimate, convergent_sequence
 from .variation import (VariationReport, avg_zygmund_variation,
                         classify_regularity, dyadic_second_differences,
@@ -86,14 +86,12 @@ __all__ = [
     "distortion_under_map",
     "dyadic_second_differences",
     "eps_scale",
-    "eval_and_derivative",
     "example_function",
     "format_table",
     "holder_bound",
     "intersection_multiplicity",
     "interval_orbit",
     "inverse_eval",
-    "iterate",
     "iterate_distortion_bound",
     "koebe_log_ratio",
     "log_cr_first_quadrature",

@@ -273,9 +273,10 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
         img_lens[2 * r + 1] = float(frac(image_start(n_next) - end_here))
     src_knots[m_pieces] = start_sorted[0] + 1.0
 
+    img_lens[-1] += 1.0 - float(np.sum(img_lens))        # close the circle exactly
+    # after closing, so that an overlapping tiling (sum above 1) shows here
     if float(img_lens.min()) <= 0.0:
         raise ValueError("image tiling degenerate; parameters too extreme")
-    img_lens[-1] += 1.0 - float(np.sum(img_lens))        # close the circle exactly
 
     src_lens = np.diff(src_knots)
     ratios = img_lens / src_lens

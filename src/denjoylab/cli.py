@@ -23,8 +23,10 @@ Config layout::
     N = 50                ; denjoy truncation
     mass = 0.5            ; denjoy inserted mass
 
-    [sweep]               ; optional: fan out over one map key
+    [sweep]               ; optional: fan out over one key
     alpha = 0.59, 0.61, 0.63
+                          ; a bare key is a [map] key; section.key sets
+                          ; another section, e.g. experiment.depth = 4, 8
 
 Reports are deterministic for a fixed config and seed except for the
 ``timings`` block.
@@ -35,7 +37,6 @@ import argparse
 import configparser
 import io
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -49,13 +50,13 @@ from .combinatorics import (PULLBACK_MULTIPLICITY_BOUND,
                             intersection_multiplicity, natural_neighborhood,
                             predecessor_successor_table, pullback_arcs)
 from .crossratio import crd_variation_estimate, term_b_constant
-from .dynamics import (build_semiconjugacy, conjugacy_verdict, interval_orbit,
-                       omega_gap_profile)
+from .dynamics import conjugacy_verdict, interval_orbit, omega_gap_profile
 from .errors import DenjoyLabError, PeriodicOrbitError
 from .maps import Arc, orbit_lift
 from .rotation import birkhoff_estimate
 from .util import frac
-from .variation import classify_regularity, log_derivative_function
+from .variation import (classify_regularity, log_derivative_function,
+                        probe_depths)
 
 SCHEMA_VERSION = 1
 PIPELINES = ("rotation", "variation", "crossratio", "conjugacy",
@@ -203,12 +204,9 @@ def _stage_variation(report, diffeo, anchor, cfg):
             "verdict": rep.describe(name),
             "qualifier": _qualifier(depth=depth, input=f.label),
         })
-    probes = sorted({max(1, math.ceil(depth / 8)),
-                     max(1, math.ceil(depth / 4)),
-                     max(2, math.ceil(depth / 2)), depth})
     report.series["variation"] = [
         (d, rep.trends["zv"][i], rep.trends["tv"][i])
-        for i, d in enumerate(probes)
+        for i, d in enumerate(probe_depths(depth))
     ]
 
 
@@ -241,11 +239,10 @@ def _stage_conjugacy(report, target, diffeo, anchor, cfg):
         "orbit_verdict": prof.verdict,
         "max_gap": prof.max_gap,
     }
-    if verdict.kind != "rational-rotation":
-        semi = build_semiconjugacy(diffeo, anchor, budget)
-        metrics["plateau_count"] = len(semi.plateaus)
-        metrics["defect"] = semi.defect
-        metrics["alpha"] = semi.alpha
+    if verdict.semi is not None:
+        metrics["plateau_count"] = len(verdict.semi.plateaus)
+        metrics["defect"] = verdict.semi.defect
+        metrics["alpha"] = verdict.semi.alpha
     report.per_stage["conjugacy"] = metrics
     report.verdicts.append({
         "label": "conjugacy",
@@ -401,11 +398,16 @@ def _sweep_configs(text: str) -> list[tuple[str, str]]:
     if not cfg.has_section("sweep"):
         return [("", text)]
     try:
-        items = cfg.items("sweep")
-        if len(items) != 1:
+        # no section can be named "", so [DEFAULT] keys stay out of [sweep]
+        own = configparser.ConfigParser(default_section="")
+        own.read_string(text)
+        keys = own.options("sweep")
+        if len(keys) != 1:
             raise ConfigError("config error: [sweep] supports exactly one key")
-        key, raw = items[0]
-        values = [v.strip() for v in raw.split(",") if v.strip()]
+        key = keys[0]
+        section, _, option = key.rpartition(".")
+        values = [v.strip() for v in cfg.get("sweep", key).split(",")
+                  if v.strip()]
         if not values:
             raise ConfigError(f"config error: [sweep] {key} lists no values")
         out = []
@@ -413,7 +415,7 @@ def _sweep_configs(text: str) -> list[tuple[str, str]]:
             variant = configparser.ConfigParser()
             variant.read_string(text)
             variant.remove_section("sweep")
-            variant.set("map", key, value)
+            variant.set(section or "map", option, value)
             buf = io.StringIO()
             variant.write(buf)
             out.append((f"_{i:03d}", buf.getvalue()))

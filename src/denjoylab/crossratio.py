@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import dblquad
 
-from .catalog import IntervalFunction
-from .errors import (DegenerateTupleError, NonMonotoneMapError,
-                     NotDifferentiableError, UnresolvedExtremaError)
+from .errors import DegenerateTupleError, NonMonotoneMapError
 from .maps import CircleDiffeo
 from .util import adaptive_simpson
-from .variation import quadratic_variation, zygmund_variation_estimate
+from .variation import (_derivative, _qv_resolved, log_derivative_function,
+                        zygmund_variation_estimate)
 
 #: spacing below which a 4-tuple is treated as degenerate
 MIN_SPACING = 1e-14
@@ -109,16 +108,6 @@ def distortion_under_map(h, t: FourTuple) -> float:
     return float(after / before)
 
 
-def _derivative(h, x):
-    if isinstance(h, CircleDiffeo):
-        return h.derivative(x)
-    if isinstance(h, IntervalFunction):
-        if h.derivative is None:
-            raise NotDifferentiableError(f"{h.label or 'function'} has no derivative")
-        return h.derivative(x)
-    raise NotDifferentiableError(f"cannot differentiate {h!r}")
-
-
 def koebe_log_ratio(h, x: float, y: float) -> float:
     """log h'(x) + log h'(y) - 2 log[h']_xy on a pair x < y.
 
@@ -152,26 +141,6 @@ class DistortionBreakdown:
     qv_bound: float
 
 
-def _log_derivative_interval(h, lo: float, hi: float) -> IntervalFunction:
-    def f(u):
-        d = _derivative(h, np.asarray(u, dtype=float))
-        out = np.log(d)
-        return float(out) if np.ndim(u) == 0 else out
-
-    return IntervalFunction(domain=(float(lo), float(hi)), eval=f,
-                            label="log derivative")
-
-
-def _qv_with_retry(f: IntervalFunction, resolution: int) -> float:
-    last: UnresolvedExtremaError | None = None
-    for extra in (0, 2, 4, 6):
-        try:
-            return quadratic_variation(f, resolution + extra)
-        except UnresolvedExtremaError as err:
-            last = err
-    raise last
-
-
 def decompose_ab(h, x: float, y: float) -> DistortionBreakdown:
     """Compute both split terms of the log Koebe ratio on [x, y] along
     with the variation budgets of log h' that bound them.
@@ -181,7 +150,7 @@ def decompose_ab(h, x: float, y: float) -> DistortionBreakdown:
     to roundoff rather than to quadrature tolerance.
     """
     log_koebe = koebe_log_ratio(h, x, y)
-    logd = _log_derivative_interval(h, x, y)
+    logd = log_derivative_function(h, x, y)
     avg_log = adaptive_simpson(lambda u: logd(u), x, y, tol=QUAD_TOL) / (y - x)
     hx, hy = (float(v) for v in _map_points(h, np.array([x, y])))
     log_quotient = math.log((hy - hx) / (y - x))
@@ -190,7 +159,7 @@ def decompose_ab(h, x: float, y: float) -> DistortionBreakdown:
     return DistortionBreakdown(
         log_koebe=log_koebe, term_a=term_a, term_b=term_b,
         zv_bound=zygmund_variation_estimate(logd, BREAKDOWN_DEPTH),
-        qv_bound=_qv_with_retry(logd, BREAKDOWN_DEPTH))
+        qv_bound=_qv_resolved(logd, BREAKDOWN_DEPTH))
 
 
 def _delta(eps: float) -> float:
@@ -278,9 +247,9 @@ def iterate_distortion_bound(h: CircleDiffeo, n: int, t: FourTuple,
     k2 = 0.0
     for arc in arcs:
         lo, hi = arc.start, arc.start + arc.length
-        logd = _log_derivative_interval(h, lo, hi)
+        logd = log_derivative_function(h, lo, hi)
         zv_sum += zygmund_variation_estimate(logd, ARC_BUDGET_DEPTH)
-        qv_sum += _qv_with_retry(logd, ARC_BUDGET_DEPTH)
+        qv_sum += _qv_resolved(logd, ARC_BUDGET_DEPTH)
         k2 = max(k2, 2.0 * term_b_constant(h, lo, hi))
     budget = 1.0 * zv_sum + k2 * qv_sum
     return float(measured), float(budget)

@@ -10,14 +10,14 @@ footprint of wandering intervals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PeriodicOrbitError
 from .maps import Arc, CircleDiffeo, arc_image, inverse_eval, orbit_lift
-from .rotation import birkhoff_estimate
-from .util import ccw_gap, circle_dist, frac
+from .rotation import PERIOD_TOL
+from .util import circle_dist, frac
 
 #: target gap below target_factor/n qualifies a knot pair as flat
 PLATEAU_TARGET_FACTOR = 8.0
@@ -29,8 +29,6 @@ DENSE_GAP_FACTOR = 8.0
 CANTOR_GAP_FACTOR = 20.0
 #: relative agreement of the last two gap-trend values for "stabilized"
 STABLE_RTOL = 0.05
-#: displacement distance to an integer that counts as a closed orbit
-PERIOD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,16 +100,25 @@ class ConjugacyVerdict:
     arc: Arc | None = None
     period: int | None = None
     detail: str = ""
+    #: the semi-conjugacy the verdict was read from; None for a rational map
+    semi: SemiConjugacy | None = field(default=None, compare=False, repr=False)
 
 
-def _detect_period(diffeo: CircleDiffeo, budget: int, x0: float = 0.0,
-                   burn_in: int | None = None) -> int | None:
+def _burn_in(budget: int) -> int:
+    return min(200, budget // 4)
+
+
+def _anchor_orbit(diffeo: CircleDiffeo, x0: float, n: int,
+                  budget: int) -> np.ndarray:
+    """Lift orbit of x0 long enough for n points and for _detect_period."""
+    return orbit_lift(diffeo, x0, max(n, _burn_in(budget) + budget))
+
+
+def _detect_period(orbit: np.ndarray, budget: int) -> int | None:
     """Smallest q <= budget whose displacement after burn-in is within
-    PERIOD_TOL of an integer, or None."""
-    if burn_in is None:
-        burn_in = min(200, budget // 4)
-    start = float(orbit_lift(diffeo, x0, burn_in)[-1]) if burn_in else x0
-    tail = orbit_lift(diffeo, start, budget)
+    PERIOD_TOL of an integer along the lift orbit, or None."""
+    burn_in = _burn_in(budget)
+    tail = orbit[burn_in:burn_in + budget + 1]
     disp = tail[1:] - tail[0]
     off = np.abs(disp - np.round(disp))
     hits = np.nonzero(off <= PERIOD_TOL)[0]
@@ -153,7 +160,8 @@ def wandering_verdict(diffeo: CircleDiffeo, arc: Arc, n: int,
     min_length = min(a.length for a in images)
     if first_clash is None:
         return WanderingVerdict("wandering-up-to-n", min_length=min_length)
-    if min_length <= tol and _detect_period(diffeo, n, arc.start) is None:
+    if (min_length <= tol
+            and _detect_period(_anchor_orbit(diffeo, arc.start, n, n), n) is None):
         return WanderingVerdict("contracted", min_length=min_length)
     return WanderingVerdict("overlap-at", pair=first_clash, min_length=min_length)
 
@@ -177,8 +185,11 @@ def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int,
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
+    period = None
     if direction == "forward":
-        pts = frac(orbit_lift(diffeo, x0, n))
+        orbit = _anchor_orbit(diffeo, x0, n, min(n, 1000))
+        pts = frac(orbit[:n + 1])
+        period = _detect_period(orbit, min(n, 1000))
     elif direction == "backward":
         vals = [x0]
         for _ in range(n):
@@ -190,7 +201,6 @@ def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int,
     checkpoints = sorted({max(10, n // 4), max(10, n // 2), n})
     trend = tuple((k, _max_circular_gap(pts[:k + 1])) for k in checkpoints)
     max_gap = trend[-1][1]
-    period = _detect_period(diffeo, min(n, 1000), x0) if direction == "forward" else None
 
     if period is not None:
         verdict = "periodic-like"
@@ -220,15 +230,16 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
-    q = _detect_period(diffeo, min(n, 1000), x0)
+    lift_orbit = _anchor_orbit(diffeo, x0, n, min(n, 1000))
+    q = _detect_period(lift_orbit, min(n, 1000))
     if q is not None:
         raise PeriodicOrbitError(
             q, "rational case; monotone circle-map classification applies, "
                "no semi-conjugacy built")
 
-    lift_orbit = orbit_lift(diffeo, x0, n)
     pts = frac(lift_orbit[:n])
-    alpha = birkhoff_estimate(diffeo, x0, n).value
+    # the Birkhoff estimate, read off the same orbit
+    alpha = float(frac((lift_orbit[n] - lift_orbit[0]) / n))
     targets_sorted = np.sort(frac(np.arange(n) * alpha))
 
     order = np.argsort(pts)
@@ -243,10 +254,8 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
 
     knot_targets = np.empty(n)
     knot_targets[order] = assigned
-    defect = 0.0
-    for k in range(n - 1):
-        defect = max(defect, circle_dist(knot_targets[k + 1],
-                                         knot_targets[k] + alpha))
+    d = np.abs(frac(knot_targets[1:]) - frac(knot_targets[:-1] + alpha))
+    defect = float(np.max(np.minimum(d, 1.0 - d)))
     h_last = float(_interp_lift(domain, target_inc,
                                 np.asarray(frac(lift_orbit[n]))))
     defect = max(defect, circle_dist(h_last, knot_targets[n - 1] + alpha))
@@ -309,8 +318,9 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
             return ConjugacyVerdict(
                 "wandering-interval-found", arc=arc,
                 detail=f"plateau flatness {flatness:.3e}; images disjoint "
-                       f"for 50 steps")
+                       f"for 50 steps", semi=semi)
     detail = ("no plateau at this resolution"
               if not semi.plateaus else "plateaus present but unconfirmed")
     return ConjugacyVerdict("conjugate-evidence",
-                            detail=detail + "; scale-limited statement")
+                            detail=detail + "; scale-limited statement",
+                            semi=semi)

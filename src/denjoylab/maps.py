@@ -8,7 +8,7 @@ representation, so the invariants here are checked on a grid by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -118,11 +118,6 @@ def periodic_lift(displacement: Callable, displacement_derivative: Callable | No
     return CircleDiffeo(lift_eval=lift, lift_derivative=deriv, label=label)
 
 
-def eval_and_derivative(diffeo: CircleDiffeo, x: float) -> tuple[float, float]:
-    """Return (F(x), F'(x)); raises NotDifferentiableError without a derivative."""
-    return float(diffeo.lift_eval(x)), float(diffeo.derivative(x))
-
-
 def inverse_eval(diffeo: CircleDiffeo, y: float, tol: float = ROOT_TOL) -> float:
     """Solve F(x) = y for the lift F.
 
@@ -176,18 +171,6 @@ def inverse_eval(diffeo: CircleDiffeo, y: float, tol: float = ROOT_TOL) -> float
         if not lo - tol <= x <= hi + tol:
             x = 0.5 * (lo + hi)
     return x
-
-
-def iterate(diffeo: CircleDiffeo, n: int, x: float) -> float:
-    """n-fold lift iterate; negative n walks through the inverse."""
-    z = float(x)
-    if n >= 0:
-        for _ in range(n):
-            z = float(diffeo.lift_eval(z))
-    else:
-        for _ in range(-n):
-            z = inverse_eval(diffeo, z)
-    return z
 
 
 def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:

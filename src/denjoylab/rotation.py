@@ -16,8 +16,9 @@ from .errors import PeriodicOrbitError
 from .maps import CircleDiffeo, orbit_lift
 from .util import convergents_of, frac
 
-#: proximity at which F^q(x) - x - p counts as an exact periodic hit
-PERIOD_TOL = 1e-10
+#: distance of a displacement F^q(x) - x to an integer p that counts as a
+#: closed orbit, here and in the period test of ``dynamics``
+PERIOD_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -56,28 +56,6 @@ def dyadic_grid(lo: float, hi: float, depth: int) -> np.ndarray:
     return np.linspace(lo, hi, 2 ** depth + 1)
 
 
-def circular_hausdorff(points_a, points_b) -> float:
-    """Hausdorff distance between two finite circle subsets (positions in [0,1))."""
-    a = np.sort(frac(np.asarray(points_a, dtype=float)))
-    b = np.sort(frac(np.asarray(points_b, dtype=float)))
-
-    def one_sided(p, q):
-        # nearest-neighbour distance on the circle via sorted insertion
-        idx = np.searchsorted(q, p)
-        cand_r = q[idx % len(q)]
-        cand_l = q[(idx - 1) % len(q)]
-        d_r = np.abs(p - cand_r)
-        d_l = np.abs(p - cand_l)
-        d = np.minimum(np.minimum(d_r, 1.0 - d_r), np.minimum(d_l, 1.0 - d_l))
-        return float(d.max())
-
-    return max(one_sided(a, b), one_sided(b, a))
-
-
-def is_close_mod1(a: float, b: float, tol: float) -> bool:
-    return circle_dist(a, b) <= tol
-
-
 def continued_fraction(x: float, max_terms: int = 25,
                        stop_quotient: float = 1e9) -> list[int]:
     """Partial quotients of x; stops when a quotient exceeds stop_quotient

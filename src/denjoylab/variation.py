@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import IntervalFunction
-from .errors import UnresolvedExtremaError
+from .errors import NotDifferentiableError, UnresolvedExtremaError
 from .maps import CircleDiffeo
 from .util import adaptive_simpson, dyadic_grid
 
@@ -240,7 +240,16 @@ def _trend_flags(values: list[float]) -> tuple[bool, bool, float]:
     return diverging, converged, (ratios[-1] if ratios else 1.0)
 
 
+def probe_depths(depth: int) -> list[int]:
+    """The depths, up to ``depth``, at which classify_regularity probes
+    the partition-based functionals (the index of each ``trends`` entry)."""
+    return sorted({max(1, math.ceil(depth / 8)), max(1, math.ceil(depth / 4)),
+                   max(2, math.ceil(depth / 2)), depth})
+
+
 def _qv_resolved(f: IntervalFunction, resolution: int) -> float:
+    """Quadratic variation, retried two, four and six levels deeper while
+    extrema stay unresolved."""
     last_err: UnresolvedExtremaError | None = None
     for extra in range(0, 7, 2):
         try:
@@ -260,8 +269,7 @@ def classify_regularity(f: IntervalFunction, depth: int) -> VariationReport:
     """
     if depth < 4:
         raise ValueError(f"depth must be >= 4, got {depth}")
-    probes = sorted({max(1, math.ceil(depth / 8)), max(1, math.ceil(depth / 4)),
-                     max(2, math.ceil(depth / 2)), depth})
+    probes = probe_depths(depth)
 
     trends = {
         "tv": [total_variation_estimate(f, d) for d in probes],
@@ -298,11 +306,27 @@ def classify_regularity(f: IntervalFunction, depth: int) -> VariationReport:
                            checks=checks, holder=holder)
 
 
-def log_derivative_function(diffeo: CircleDiffeo, lo: float = 0.0,
-                            hi: float = 1.0, label: str = "") -> IntervalFunction:
-    """log of the lift derivative as an interval function on [lo, hi]."""
+def _derivative(h, x):
+    """Derivative of a circle diffeomorphism's lift or of a C1 interval
+    function; NotDifferentiableError for anything else."""
+    if isinstance(h, CircleDiffeo):
+        return h.derivative(x)
+    if isinstance(h, IntervalFunction):
+        if h.derivative is None:
+            raise NotDifferentiableError(f"{h.label or 'function'} has no derivative")
+        return h.derivative(x)
+    raise NotDifferentiableError(f"cannot differentiate {h!r}")
+
+
+def log_derivative_function(diffeo, lo: float = 0.0, hi: float = 1.0,
+                            label: str = "") -> IntervalFunction:
+    """log of the derivative as an interval function on [lo, hi].
+
+    ``diffeo`` is a circle diffeomorphism (its lift derivative is used)
+    or an interval function that carries a derivative.
+    """
     def f(x):
-        d = diffeo.derivative(np.asarray(x, dtype=float))
+        d = _derivative(diffeo, np.asarray(x, dtype=float))
         out = np.log(d)
         return float(out) if np.ndim(x) == 0 else out
 

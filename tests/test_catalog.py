@@ -76,6 +76,11 @@ class TestDenjoy:
         with pytest.raises(ValueError):
             make_denjoy(GOLDEN, N=10, mass=1.0)
 
+    def test_overlapping_image_tiling_rejected(self):
+        # the closing adjustment of the last piece turns it negative
+        with pytest.raises(ValueError, match="image tiling degenerate"):
+            make_denjoy(math.pi - 3.0, N=100, mass=0.5)
+
 
 class TestExampleFunctions:
     def test_names_and_domains(self):

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from denjoylab.cli import (ConfigError, main, run_experiment, _sweep_configs)
+from denjoylab import build_semiconjugacy, conjugacy_verdict, dynamics
+from denjoylab.cli import (ConfigError, _build_target, _parse_config, main,
+                           run_experiment, _sweep_configs)
 
 ROT = """
 [experiment]
@@ -102,6 +104,33 @@ class TestConjugacyPipeline:
         assert c["kind"] == "wandering-interval-found"
         assert c["plateau_count"] >= 1
 
+    def test_stage_iterates_each_anchor_once(self, monkeypatch):
+        steps = []
+        real = dynamics.orbit_lift
+
+        def counting(diffeo, x0, n):
+            steps.append(n)
+            return real(diffeo, x0, n)
+
+        monkeypatch.setattr(dynamics, "orbit_lift", counting)
+        text = CONJ_DENJOY.replace("budget = 400", "budget = 1000").replace(
+            "N = 30", "N = 50")
+        run_experiment(text)
+        # one orbit for the verdict's semi-conjugacy, one for the gap profile
+        assert len(steps) <= 2
+        assert sum(steps) <= 2400
+
+    def test_x0_moves_only_the_gap_profile(self):
+        text = CONJ_DENJOY.replace("budget = 400", "budget = 400\nx0 = 0.3")
+        c = run_experiment(text).per_stage["conjugacy"]
+        target, diffeo, anchor, _ = _build_target(_parse_config(text))
+        semi = conjugacy_verdict(target, 400).semi
+        assert semi.anchor == anchor != 0.3
+        assert c["alpha"] == semi.alpha
+        assert c["defect"] == semi.defect
+        assert c["plateau_count"] == len(semi.plateaus)
+        assert c["defect"] != build_semiconjugacy(diffeo, 0.3, 400).defect
+
     def test_rational_rotation_reported(self, tmp_path):
         text = ("[experiment]\npipeline = conjugacy\nbudget = 200\n\n"
                 "[map]\nkind = rigid\nalpha = 0.25\n")
@@ -155,6 +184,23 @@ class TestSweep:
         vals = [json.loads(p.read_text())["per_stage"]["rotation"]["value"]
                 for p in reports]
         assert [round(v, 6) for v in vals] == [0.31, 0.47, 0.62]
+
+    def test_default_keys_are_not_sweep_keys(self, tmp_path):
+        text = ("[DEFAULT]\nN = 30\n" + ROT
+                + "\n[sweep]\nalpha = 0.31, 0.47\n")
+        rc, out = _run(tmp_path, text)
+        assert rc == 0
+        assert len(list(out.glob("report_*.json"))) == 2
+
+    def test_section_key_sweeps_another_section(self, tmp_path):
+        text = ("[experiment]\npipeline = variation\nfunction = ex2\n"
+                "depth = 14\n\n[map]\nkind = rigid\nalpha = 0.3\n\n"
+                "[sweep]\nexperiment.function_depth = 4, 8\n")
+        rc, out = _run(tmp_path, text)
+        assert rc == 0
+        labels = [json.loads(p.read_text())["per_stage"]["variation"]["label"]
+                  for p in sorted(out.glob("report_*.json"))]
+        assert labels == ["ex2 (tent sum, depth 4)", "ex2 (tent sum, depth 8)"]
 
     def test_two_keys_rejected(self):
         text = ROT + "\n[sweep]\nalpha = 0.1, 0.2\nn = 10, 20\n"

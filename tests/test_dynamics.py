@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from denjoylab import (Arc, PeriodicOrbitError, build_semiconjugacy,
-                       conjugacy_verdict, interval_orbit, make_map,
-                       omega_gap_profile, wandering_verdict)
-from denjoylab.util import frac, is_close_mod1
+from denjoylab import (Arc, PeriodicOrbitError, birkhoff_estimate,
+                       build_semiconjugacy, conjugacy_verdict, dynamics,
+                       interval_orbit, make_map, omega_gap_profile,
+                       orbit_lift, wandering_verdict)
+from denjoylab.util import circle_dist, frac
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 QUARTER = {"kind": "rigid", "alpha": 0.25}
@@ -91,7 +92,7 @@ class TestSemiConjugacy:
         for x in (0.1, float(frac(0.1 + GOLDEN)), 0.55):
             lhs = semi.interpolant(float(golden_rotation.lift(x)))
             rhs = semi.interpolant(x) + semi.alpha
-            assert is_close_mod1(lhs, rhs, semi.defect + 1e-9)
+            assert circle_dist(lhs, rhs) <= semi.defect + 1e-9
 
     def test_rational_rotation_raises_with_period(self):
         f = make_map({"kind": "rigid", "alpha": 0.2})
@@ -137,3 +138,67 @@ class TestConjugacyVerdict:
     def test_budget_floor(self, golden_rotation):
         with pytest.raises(ValueError):
             conjugacy_verdict(golden_rotation, 99)
+
+
+@pytest.fixture
+def orbit_calls(monkeypatch):
+    """Lengths n of every orbit_lift(diffeo, x0, n) that dynamics makes."""
+    calls = []
+    real = dynamics.orbit_lift
+
+    def counting(diffeo, x0, n):
+        calls.append(n)
+        return real(diffeo, x0, n)
+
+    monkeypatch.setattr(dynamics, "orbit_lift", counting)
+    return calls
+
+
+class TestOneOrbitPerCall:
+    def test_semiconjugacy_iterates_once(self, denjoy50, orbit_calls):
+        build_semiconjugacy(denjoy50.base, denjoy50.cantor_anchor, 1000)
+        # burn-in 200 plus the period budget 1000
+        assert orbit_calls == [1200]
+
+    def test_gap_profile_iterates_once(self, golden_rotation, orbit_calls):
+        omega_gap_profile(golden_rotation, 0.1, n=5000, resolution=30)
+        assert orbit_calls == [5000]
+
+    def test_plateau_free_verdict_iterates_once(self, golden_rotation,
+                                                orbit_calls):
+        v = conjugacy_verdict(golden_rotation, 2000)
+        assert v.semi.plateaus == ()
+        assert orbit_calls == [2000]
+
+    def test_alpha_is_the_birkhoff_estimate(self, denjoy50, golden_rotation):
+        for diffeo, x0, n in ((denjoy50.base, denjoy50.cantor_anchor, 1000),
+                              (golden_rotation, 0.1, 777)):
+            assert (build_semiconjugacy(diffeo, x0, n).alpha
+                    == birkhoff_estimate(diffeo, x0, n).value)
+
+    def test_defect_matches_the_knot_loop(self, denjoy50):
+        arnold = make_map({"kind": "arnold", "alpha": 0.41, "amplitude": 0.6})
+        for diffeo, x0, n in ((denjoy50.base, denjoy50.cantor_anchor, 1000),
+                              (arnold, 0.2, 600)):
+            semi = build_semiconjugacy(diffeo, x0, n)
+            t = [target for _, target in semi.knots]
+            ref = 0.0
+            for k in range(n - 1):
+                ref = max(ref, circle_dist(t[k + 1], t[k] + semi.alpha))
+            x_n = float(frac(orbit_lift(diffeo, x0, n)[n]))
+            ref = max(ref, circle_dist(semi.interpolant(x_n),
+                                       t[n - 1] + semi.alpha))
+            assert semi.defect == ref
+
+    def test_verdict_hands_back_its_semiconjugacy(self, denjoy50):
+        semi = conjugacy_verdict(denjoy50, 1000).semi
+        ref = build_semiconjugacy(denjoy50.base, denjoy50.cantor_anchor, 1000)
+        for name in ("anchor", "alpha", "knots", "defect", "plateaus"):
+            assert getattr(semi, name) == getattr(ref, name)
+        assert np.array_equal(semi._domain, ref._domain)
+        assert np.array_equal(semi._target, ref._target)
+
+    def test_rational_verdict_has_no_semiconjugacy(self):
+        v = conjugacy_verdict(make_map(QUARTER), 500)
+        assert v.kind == "rational-rotation"
+        assert v.semi is None

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from denjoylab.util import (adaptive_simpson, ccw_gap, circle_dist,
-                            circular_hausdorff, continued_fraction,
-                            convergents_of, dyadic_grid, frac, is_close_mod1)
+                            continued_fraction, convergents_of, dyadic_grid,
+                            frac)
 
 
 def test_frac_wraps_into_unit_interval():
@@ -55,16 +55,9 @@ def test_dyadic_grid_shape_and_endpoints():
     assert np.allclose(h, [0.25, 0.5, 0.75])
 
 
-def test_circular_hausdorff_of_rotated_sets():
-    pts = frac(np.arange(10) * 0.618)
-    assert circular_hausdorff(pts, pts) == 0.0
-    shifted = frac(pts + 0.01)
-    assert circular_hausdorff(pts, shifted) == pytest.approx(0.01, abs=1e-12)
-
-
-def test_is_close_mod1_across_the_seam():
-    assert is_close_mod1(0.999, 0.001, 0.01)
-    assert not is_close_mod1(0.4, 0.6, 0.1)
+def test_circle_dist_across_the_seam():
+    assert circle_dist(0.999, 0.001) <= 0.01
+    assert not circle_dist(0.4, 0.6) <= 0.1
 
 
 def test_continued_fraction_of_golden_mean_is_all_ones():

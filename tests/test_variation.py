@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from _partition_oracles import qv_oracle, tv_oracle, zv_oracle
-from denjoylab import (IntervalFunction, UnresolvedExtremaError,
-                       classify_regularity, example_function, make_map,
-                       quadratic_variation)
+from denjoylab import (IntervalFunction, NotDifferentiableError,
+                       UnresolvedExtremaError, classify_regularity,
+                       example_function, make_map, quadratic_variation)
 from denjoylab.util import dyadic_grid
 from denjoylab.variation import (avg_zygmund_variation,
                                  dyadic_second_differences,
@@ -194,3 +194,11 @@ class TestLogDerivativeInput:
         xs = np.linspace(0.0, 1.0, 33)
         assert np.allclose(np.asarray(f.eval(xs)),
                            np.log(np.asarray(g.derivative(xs))), atol=1e-12)
+
+    def test_interval_function_input(self):
+        sq = _fn(lambda x: x * x, "sq", 1.0, 2.0, deriv=lambda x: 2.0 * x)
+        f = log_derivative_function(sq, 1.0, 2.0)
+        assert f.label == "log deriv of sq"
+        assert f(1.5) == math.log(3.0)
+        with pytest.raises(NotDifferentiableError):
+            log_derivative_function(_fn(abs, "abs"))(0.5)
