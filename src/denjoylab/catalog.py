@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import NonMonotoneMapError, RootFindError
-from .maps import Arc, CircleDiffeo, periodic_lift
+from .maps import SCALAR_TYPES, Arc, CircleDiffeo, periodic_lift
 from .util import continued_fraction, frac
 
 TWO_PI = 2.0 * math.pi
@@ -29,9 +29,6 @@ DEFAULT_TENT_DEPTH = 20
 #: smallest admissible derivative-profile ratio; below it the quadratic
 #: derivative profile would dip to zero inside a piece
 MIN_PIECE_RATIO = 0.35
-
-#: argument types the Denjoy lift evaluates on plain floats
-_SCALAR_TYPES = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -98,10 +95,21 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
             raise NonMonotoneMapError(
                 f"amplitude {amplitude} >= 1: lift derivative reaches zero, "
                 "not a diffeomorphism")
-        return periodic_lift(
-            lambda u: alpha + amplitude / TWO_PI * np.sin(TWO_PI * u),
-            lambda u: amplitude * np.cos(TWO_PI * u),
-            label=f"arnold({alpha:.10g}, {amplitude:.10g})")
+        scale = amplitude / TWO_PI
+
+        # periodic_lift hands a scalar argument over as a plain float
+        def displacement(u):
+            if isinstance(u, float):
+                return alpha + scale * math.sin(TWO_PI * u)
+            return alpha + scale * np.sin(TWO_PI * u)
+
+        def displacement_derivative(u):
+            if isinstance(u, float):
+                return amplitude * math.cos(TWO_PI * u)
+            return amplitude * np.cos(TWO_PI * u)
+
+        return periodic_lift(displacement, displacement_derivative,
+                             label=f"arnold({alpha:.10g}, {amplitude:.10g})")
     raise ValueError(f"unknown map kind {kind!r}; expected 'rigid' or 'arnold'")
 
 
@@ -292,7 +300,7 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
                                (src_knots, src_lens, ratios, img_knots))
 
     def lift(x):
-        if isinstance(x, _SCALAR_TYPES):
+        if isinstance(x, SCALAR_TYPES):
             x = float(x)
             k = math.floor(x - cut)
             u = x - k
@@ -310,7 +318,7 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
         return float(out) if np.ndim(x) == 0 else out
 
     def lift_derivative(x):
-        if isinstance(x, _SCALAR_TYPES):
+        if isinstance(x, SCALAR_TYPES):
             x = float(x)
             u = x - math.floor(x - cut)
             j = min(max(bisect_right(knots, u) - 1, 0), last)

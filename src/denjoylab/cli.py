@@ -53,7 +53,7 @@ from .crossratio import crd_variation_estimate, term_b_constant
 from .dynamics import conjugacy_verdict, interval_orbit, omega_gap_profile
 from .errors import DenjoyLabError, PeriodicOrbitError
 from .maps import Arc, orbit_lift
-from .rotation import birkhoff_estimate
+from .rotation import birkhoff_from_orbit
 from .util import frac
 from .variation import (classify_regularity, log_derivative_function,
                         probe_depths)
@@ -159,7 +159,8 @@ def _qualifier(**kv) -> str:
 
 def _stage_rotation(report, diffeo, anchor, cfg):
     n = cfg.getint("experiment", "n", fallback=1000)
-    est = birkhoff_estimate(diffeo, anchor, n)
+    lift = orbit_lift(diffeo, anchor, n)
+    est = birkhoff_from_orbit(lift, n)
     report.per_stage["rotation"] = {
         "value": est.value, "error_bound": est.error_bound,
         "n": n, "x0": anchor,
@@ -169,7 +170,6 @@ def _stage_rotation(report, diffeo, anchor, cfg):
         "verdict": f"{est.value:.10f}",
         "qualifier": _qualifier(n=n, error_bound=f"{est.error_bound:.3e}"),
     })
-    lift = orbit_lift(diffeo, anchor, n)
     step = max(1, n // 64)
     rows = [(k, float(frac((lift[k] - lift[0]) / k)), 2.0 / k)
             for k in range(step, n + 1, step)]

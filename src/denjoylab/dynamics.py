@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PeriodicOrbitError
 from .maps import Arc, CircleDiffeo, arc_image, inverse_eval, orbit_lift
-from .rotation import PERIOD_TOL
+from .rotation import PERIOD_TOL, birkhoff_from_orbit
 from .util import circle_dist, frac
 
 #: target gap below target_factor/n qualifies a knot pair as flat
@@ -238,8 +238,7 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
                "no semi-conjugacy built")
 
     pts = frac(lift_orbit[:n])
-    # the Birkhoff estimate, read off the same orbit
-    alpha = float(frac((lift_orbit[n] - lift_orbit[0]) / n))
+    alpha = birkhoff_from_orbit(lift_orbit, n).value
     targets_sorted = np.sort(frac(np.arange(n) * alpha))
 
     order = np.argsort(pts)
@@ -269,8 +268,7 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
     if np.all(flat):
         plateaus.append((Arc(domain[0], domain[0] + 1.0 - 1e-12), 1.0))
     else:
-        starts = [i for i in range(n) if flat[i] and not flat[(i - 1) % n]]
-        for i in starts:
+        for i in np.flatnonzero(flat & ~np.roll(flat, 1)).tolist():
             j = i
             while flat[(j + 1) % n]:
                 j += 1
@@ -281,7 +279,7 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
             span_t = float(np.sum(tgt_gaps[members]))
             plateaus.append((Arc(lo, hi), span_t / span_d))
 
-    knots = tuple((float(p), float(t)) for p, t in zip(pts, knot_targets))
+    knots = tuple(zip(pts.tolist(), knot_targets.tolist()))
     return SemiConjugacy(anchor=float(x0), alpha=float(alpha), knots=knots,
                          defect=float(defect), plateaus=tuple(plateaus),
                          _domain=domain, _target=target_inc)

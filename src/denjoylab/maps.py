@@ -8,6 +8,7 @@ representation, so the invariants here are checked on a grid by
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,6 +24,8 @@ EVAL_TOL = 1e-12
 ROOT_TOL = 1e-10
 #: default grid size for lift validation
 VALIDATE_GRID = 10_000
+#: argument types that periodic_lift and the Denjoy lift evaluate on plain floats
+SCALAR_TYPES = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -105,14 +108,24 @@ def periodic_lift(displacement: Callable, displacement_derivative: Callable | No
 
     Evaluating g on the fractional part makes F(x + 1) = F(x) + 1 hold to
     the last bit, not merely to rounding of a transcendental argument.
+    A scalar x (any of ``SCALAR_TYPES``) takes its fractional part with
+    ``math.floor`` and hands g a plain float; g must then repeat its array
+    arithmetic operation for operation, so both paths agree bit for bit.
+    A NaN or infinite scalar therefore raises from ``math.floor``
+    (ValueError, OverflowError), where an array holding one gives NaN.
     """
     def lift(x):
-        u = frac(x)
-        return x + displacement(u)
+        if isinstance(x, SCALAR_TYPES):
+            x = float(x)
+            return x + displacement(x - math.floor(x))
+        return x + displacement(frac(x))
 
     deriv = None
     if displacement_derivative is not None:
         def deriv(x):  # noqa: F811 - intentional rebinding
+            if isinstance(x, SCALAR_TYPES):
+                x = float(x)
+                return 1.0 + displacement_derivative(x - math.floor(x))
             return 1.0 + displacement_derivative(frac(x))
 
     return CircleDiffeo(lift_eval=lift, lift_derivative=deriv, label=label)
@@ -175,13 +188,16 @@ def inverse_eval(diffeo: CircleDiffeo, y: float, tol: float = ROOT_TOL) -> float
 
 def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
     """Lift orbit [x0, F(x0), ..., F^n(x0)] as one array."""
-    out = np.empty(n + 1)
-    out[0] = x0
+    if n < 0:
+        raise ValueError(f"need n >= 0 steps, got {n}")
+    lift = diffeo.lift_eval
     z = float(x0)
-    for k in range(1, n + 1):
-        z = float(diffeo.lift_eval(z))
-        out[k] = z
-    return out
+    out = [z]
+    append = out.append
+    for _ in range(n):
+        z = float(lift(z))
+        append(z)
+    return np.array(out)
 
 
 def arc_image(diffeo: CircleDiffeo, arc: Arc) -> Arc:

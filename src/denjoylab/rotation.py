@@ -41,10 +41,16 @@ def birkhoff_estimate(diffeo: CircleDiffeo, x0: float, n: int) -> RotationEstima
     The classical displacement inequality gives |estimate - rho| < 1/n for
     any start point; the reported error_bound keeps the conservative 2/n.
     """
+    return birkhoff_from_orbit(orbit_lift(diffeo, x0, n), n)
+
+
+def birkhoff_from_orbit(orbit: np.ndarray, n: int) -> RotationEstimate:
+    """The Birkhoff estimate (orbit[n] - orbit[0])/n mod 1 read off a lift
+    orbit of at least n + 1 points, so a caller that needs the orbit too
+    iterates it once."""
     if n < 1:
         raise ValueError(f"need n >= 1 iterates, got {n}")
-    orbit = orbit_lift(diffeo, float(x0), n)
-    value = float(frac((orbit[-1] - orbit[0]) / n))
+    value = float(frac((orbit[n] - orbit[0]) / n))
     q_cap = max(13, int(np.sqrt(n)))
     convs = tuple(convergents_of(value, q_cap=q_cap))
     return RotationEstimate(value=value, iterates_used=n,

@@ -1,12 +1,22 @@
-"""Shared fixtures: one truncated wandering-interval map and one rigid rotation."""
+"""Shared fixtures: one truncated wandering-interval map and one rigid rotation.
+
+Hypothesis draws fresh examples on every local run.  With
+``HYPOTHESIS_PROFILE=ci`` (set by the CI workflow) it derandomizes, so a
+red CI run can be reproduced with the same variable.
+"""
 import math
+import os
 
 import pytest
+from hypothesis import settings
 
 from denjoylab import make_denjoy, make_map
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

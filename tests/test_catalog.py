@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from denjoylab import (Arc, CATALOG_ENTRIES, NonMonotoneMapError,
                        example_function, inverse_eval, make_denjoy, make_map,
-                       takagi_total_variation, validate_lift)
+                       orbit_lift, takagi_total_variation, validate_lift)
 from denjoylab.util import frac
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -32,6 +32,18 @@ class TestMakeMap:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_map({"kind": "parabolic", "alpha": 0.3})
+
+    @pytest.mark.parametrize("kind", ["rigid", "arnold"])
+    def test_non_finite_scalar_raises(self, kind):
+        # scalars take math.floor, arrays np.floor
+        f = make_map({"kind": kind, "alpha": 0.3, "amplitude": 0.5})
+        for evaluate in (f.lift_eval, f.lift_derivative):
+            with pytest.raises(ValueError):
+                evaluate(math.nan)
+            with pytest.raises(OverflowError):
+                evaluate(-math.inf)
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(evaluate(np.array([math.nan, math.inf]))).all()
 
 
 class TestDenjoy:
@@ -167,10 +179,10 @@ def _with_neighbours(points):
                            np.nextafter(pts, np.inf)])
 
 
-DENJOY_PROPERTY = settings(max_examples=25, deadline=None)
+LIFT_PROPERTY = settings(max_examples=25, deadline=None)
 
 
-@DENJOY_PROPERTY
+@LIFT_PROPERTY
 @given(accepted_denjoy(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
 def test_denjoy_scalar_lift_matches_vector_path_bitwise(d, xs):
     f = d.base
@@ -185,7 +197,7 @@ def test_denjoy_scalar_lift_matches_vector_path_bitwise(d, xs):
         assert [f.lift_derivative(i) for i in ints] == f.lift_derivative(grid).tolist()
 
 
-@DENJOY_PROPERTY
+@LIFT_PROPERTY
 @given(accepted_denjoy(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
 def test_denjoy_inverse_round_trips(d, ys):
     f = d.base
@@ -194,7 +206,7 @@ def test_denjoy_inverse_round_trips(d, ys):
         assert abs(f.lift_eval(inverse_eval(f, y)) - y) <= 1e-12
 
 
-@DENJOY_PROPERTY
+@LIFT_PROPERTY
 @given(accepted_denjoy(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
 def test_denjoy_inverse_agrees_with_bisection(d, ys):
     f = d.base
@@ -202,3 +214,46 @@ def test_denjoy_inverse_agrees_with_bisection(d, ys):
     img_knots = f.lift_eval(_piece_knots(d))
     for y in np.concatenate([ys, img_knots]).tolist():
         assert abs(inverse_eval(f, y) - inverse_eval(generic, y)) <= 1e-12
+
+
+@LIFT_PROPERTY
+@given(accepted_denjoy(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=60))
+def test_denjoy_lift_periodic_and_increasing(d, xs):
+    f = d.base
+    pts = np.unique(np.concatenate([xs, _with_neighbours(_piece_knots(d))]))
+    # one-ulp neighbours may share an image; keep points 1e-9 apart
+    pts = pts[np.concatenate([[True], np.diff(pts) > 1e-9])]
+    fx = f.lift_eval(pts)
+    assert np.max(np.abs(f.lift_eval(pts + 1.0) - fx - 1.0)) <= 1e-12
+    assert np.all(np.diff(fx) > 0.0)
+
+
+@st.composite
+def smooth_map(draw):
+    """A rigid or Arnold make_map over random alpha and amplitude in [0, 1)."""
+    return make_map({"kind": draw(st.sampled_from(("rigid", "arnold"))),
+                     "alpha": draw(st.floats(0.0, 1.0, exclude_max=True)),
+                     "amplitude": draw(st.floats(0.0, 1.0, exclude_max=True))})
+
+
+@LIFT_PROPERTY
+@given(smooth_map(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
+def test_smooth_scalar_lift_matches_vector_path_bitwise(f, xs):
+    pts = _with_neighbours(np.concatenate([xs, np.arange(-3.0, 4.0)]))
+    lift, deriv = f.lift_eval(pts), f.lift_derivative(pts)
+    for scalars in (pts.tolist(), list(pts)):      # float, np.float64
+        assert np.array_equal([f.lift_eval(x) for x in scalars], lift)
+        assert np.array_equal([f.lift_derivative(x) for x in scalars], deriv)
+    grid = np.arange(-3.0, 4.0)
+    for ints in (list(range(-3, 4)), list(np.arange(-3, 4))):   # int, np.int64
+        assert [f.lift_eval(i) for i in ints] == f.lift_eval(grid).tolist()
+        assert [f.lift_derivative(i) for i in ints] == f.lift_derivative(grid).tolist()
+
+
+@LIFT_PROPERTY
+@given(smooth_map(), st.floats(-3.0, 3.0), st.integers(0, 300))
+def test_orbit_lift_matches_array_lift_loop(f, x0, n):
+    ref = [x0]
+    for _ in range(n):
+        ref.append(f.lift_eval(np.array(ref[-1:]))[0])
+    assert np.array_equal(orbit_lift(f, x0, n), ref)

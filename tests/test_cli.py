@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from denjoylab import build_semiconjugacy, conjugacy_verdict, dynamics
+from denjoylab import (birkhoff_estimate, build_semiconjugacy, cli,
+                       conjugacy_verdict, dynamics, maps, rotation)
 from denjoylab.cli import (ConfigError, _build_target, _parse_config, main,
                            run_experiment, _sweep_configs)
 
@@ -75,6 +76,22 @@ class TestRotationPipeline:
         a = run_experiment(ROT, seed=3)
         b = run_experiment(ROT, seed=3)
         assert a.to_json(with_timings=False) == b.to_json(with_timings=False)
+
+    def test_stage_iterates_one_orbit(self, monkeypatch):
+        steps = []
+        real = maps.orbit_lift
+
+        def counting(diffeo, x0, n):
+            steps.append(n)
+            return real(diffeo, x0, n)
+
+        for module in (cli, rotation):
+            monkeypatch.setattr(module, "orbit_lift", counting)
+        stage = run_experiment(ROT).per_stage["rotation"]
+        assert steps == [1000]
+        monkeypatch.undo()
+        _, diffeo, anchor, _ = _build_target(_parse_config(ROT))
+        assert stage["value"] == birkhoff_estimate(diffeo, anchor, 1000).value
 
 
 class TestVariationPipeline:

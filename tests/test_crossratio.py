@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from denjoylab import (Arc, DegenerateTupleError, FourTuple, IntervalFunction,
                        arc_image, compose, crd_variation_estimate,
@@ -175,3 +176,14 @@ class TestCrdVariation:
         d7 = crd_variation_estimate(f, 7)
         assert d6 > 0.0
         assert abs(d7 - d6) <= 0.05 * d6
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4, unique=True))
+def test_cross_ratio_identity_on_random_tuples(xs):
+    try:
+        t = FourTuple(*sorted(xs))
+    except DegenerateTupleError:
+        assume(False)
+    first, second = cross_ratios(t)
+    assert first == pytest.approx(1.0 + 1.0 / second, rel=1e-12)

@@ -8,6 +8,7 @@ from denjoylab import (Arc, PeriodicOrbitError, birkhoff_estimate,
                        build_semiconjugacy, conjugacy_verdict, dynamics,
                        interval_orbit, make_map, omega_gap_profile,
                        orbit_lift, wandering_verdict)
+from denjoylab.dynamics import PLATEAU_DOMAIN_FACTOR, PLATEAU_TARGET_FACTOR
 from denjoylab.util import circle_dist, frac
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -189,6 +190,23 @@ class TestOneOrbitPerCall:
             ref = max(ref, circle_dist(semi.interpolant(x_n),
                                        t[n - 1] + semi.alpha))
             assert semi.defect == ref
+
+    def test_knots_and_plateau_starts_match_the_loops(self, denjoy50):
+        arnold = make_map({"kind": "arnold", "alpha": 0.3, "amplitude": 0.3})
+        for diffeo, x0, n in ((denjoy50.base, denjoy50.cantor_anchor, 1000),
+                              (arnold, 0.1234567891, 10_000)):
+            semi = build_semiconjugacy(diffeo, x0, n)
+            pts = frac(orbit_lift(diffeo, x0, n)[:n])
+            assert [p for p, _ in semi.knots] == [float(p) for p in pts]
+            assert all(type(p) is type(t) is float for p, t in semi.knots)
+            dom = np.diff(np.append(semi._domain, semi._domain[0] + 1.0))
+            tgt = np.diff(np.append(semi._target, semi._target[0] + 1.0))
+            flat = ((tgt < PLATEAU_TARGET_FACTOR / n)
+                    & (dom > PLATEAU_DOMAIN_FACTOR / n))
+            starts = [i for i in range(n) if flat[i] and not flat[(i - 1) % n]]
+            assert starts
+            assert ([arc.start for arc, _ in semi.plateaus]
+                    == [float(semi._domain[i]) for i in starts])
 
     def test_verdict_hands_back_its_semiconjugacy(self, denjoy50):
         semi = conjugacy_verdict(denjoy50, 1000).semi

@@ -74,6 +74,9 @@ def test_orbit_lift_steps_forward():
     # displacement never exceeds one per step for this family
     assert np.all(np.diff(lift) > 0.0)
     assert np.all(np.diff(lift) < 1.0)
+    assert orbit_lift(f, 0.2, 0).tolist() == [0.2]
+    with pytest.raises(ValueError):
+        orbit_lift(f, 0.2, -1)
 
 
 def test_arc_image_of_rotation_is_translation():
