@@ -15,8 +15,8 @@ from .catalog import (CATALOG_ENTRIES, DenjoyMap, IntervalFunction,
                       takagi_total_variation)
 from .combinatorics import (KoebeConstants, OrbitCombinatorics,
                             PULLBACK_MULTIPLICITY_BOUND, eps_scale,
-                            format_table, intersection_multiplicity,
-                            macroscopic_delta, natural_neighborhood,
+                            intersection_multiplicity, macroscopic_delta,
+                            natural_neighborhood,
                             predecessor_successor_table, pullback_arcs)
 from .crossratio import (DistortionBreakdown, FourTuple,
                          crd_variation_estimate, cross_ratios,
@@ -33,14 +33,12 @@ from .errors import (DegenerateTupleError, DenjoyLabError,
                      PeriodicOrbitError, RootFindError,
                      UnresolvedExtremaError)
 from .maps import (Arc, CircleDiffeo, LiftValidationReport, arc_image,
-                   compose, conjugate, inverse_eval, orbit_lift,
-                   periodic_lift, validate_lift)
+                   compose, inverse_eval, orbit_lift, periodic_lift,
+                   validate_lift)
 from .rotation import RotationEstimate, birkhoff_estimate, convergent_sequence
-from .variation import (VariationReport, avg_zygmund_variation,
-                        classify_regularity, dyadic_second_differences,
-                        holder_bound, log_derivative_function,
-                        quadratic_variation, total_variation_estimate,
-                        zygmund_level_sums, zygmund_norm_estimate,
+from .variation import (VariationReport, classify_regularity, holder_bound,
+                        log_derivative_function, quadratic_variation,
+                        total_variation_estimate, zygmund_norm_estimate,
                         zygmund_norm_profile, zygmund_variation_estimate)
 
 __version__ = "0.1.0"
@@ -71,23 +69,19 @@ __all__ = [
     "VariationReport",
     "WanderingVerdict",
     "arc_image",
-    "avg_zygmund_variation",
     "birkhoff_estimate",
     "build_semiconjugacy",
     "classify_regularity",
     "compose",
     "conjugacy_verdict",
-    "conjugate",
     "convergent_sequence",
     "crd_variation_estimate",
     "cross_ratios",
     "decompose_ab",
     "delta_and_bound",
     "distortion_under_map",
-    "dyadic_second_differences",
     "eps_scale",
     "example_function",
-    "format_table",
     "holder_bound",
     "intersection_multiplicity",
     "interval_orbit",
@@ -104,14 +98,13 @@ __all__ = [
     "orbit_lift",
     "periodic_lift",
     "predecessor_successor_table",
-    "term_b_constant",
     "pullback_arcs",
     "quadratic_variation",
     "takagi_total_variation",
+    "term_b_constant",
     "total_variation_estimate",
     "validate_lift",
     "wandering_verdict",
-    "zygmund_level_sums",
     "zygmund_norm_estimate",
     "zygmund_norm_profile",
     "zygmund_variation_estimate",

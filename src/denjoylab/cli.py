@@ -1,6 +1,6 @@
 """Batch experiment runner.
 
-``denjoy-lab run <config> --out <dir> [--seed N]`` executes one of the
+``denjoy-lab run <config> --out <dir>`` executes one of the
 analysis pipelines described by an INI config and writes a JSON report
 (plus optional CSV series).  ``denjoy-lab catalog list`` prints the
 built-in maps and example functions.
@@ -28,8 +28,8 @@ Config layout::
                           ; a bare key is a [map] key; section.key sets
                           ; another section, e.g. experiment.depth = 4, 8
 
-Reports are deterministic for a fixed config and seed except for the
-``timings`` block.
+Reports are deterministic for a fixed config except for the ``timings``
+block.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ from .util import frac
 from .variation import (classify_regularity, log_derivative_function,
                         probe_depths)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 PIPELINES = ("rotation", "variation", "crossratio", "conjugacy",
              "combinatorics", "full-criterion")
 
@@ -76,12 +76,11 @@ class ExperimentReport:
 
     ``per_stage`` maps stage names to plain-value metric dicts and
     ``verdicts`` collects labeled judgments, each carrying the budget
-    or scale it was made at.  Identical config and seed reproduce every
-    field except ``timings`` bit for bit.
+    or scale it was made at.  An identical config reproduces every field
+    except ``timings`` bit for bit.
     """
 
     config_echo: dict
-    seed: int
     per_stage: dict = field(default_factory=dict)
     verdicts: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
@@ -92,7 +91,6 @@ class ExperimentReport:
         out = {
             "schema_version": SCHEMA_VERSION,
             "config_echo": self.config_echo,
-            "seed": self.seed,
             "per_stage": self.per_stage,
             "verdicts": self.verdicts,
             "incomplete": self.incomplete,
@@ -111,7 +109,9 @@ def _parse_config(text: str) -> configparser.ConfigParser:
     try:
         parser.read_string(text)
     except configparser.Error as err:
-        raise ConfigError(f"config parse error: {err}") from err
+        # configparser spreads its message over lines; the CLI prints one
+        message = " ".join(str(err).split())
+        raise ConfigError(f"config parse error: {message}") from err
     if not parser.has_section("experiment"):
         raise ConfigError("config error: missing [experiment] section")
     if not parser.has_option("experiment", "pipeline"):
@@ -129,25 +129,24 @@ def _parse_config(text: str) -> configparser.ConfigParser:
 
 
 def _build_target(cfg: configparser.ConfigParser):
-    """Returns (map object, plain diffeo, anchor point, echo dict)."""
+    """Returns (map object, plain diffeo, anchor point)."""
     kind = cfg.get("map", "kind", fallback=None)
     if kind is None:
         raise ConfigError("config error: [map] needs a kind key")
-    echo = dict(cfg.items("map"))
     try:
         if kind == "denjoy":
             target = make_denjoy(cfg.getfloat("map", "alpha"),
                                  N=cfg.getint("map", "N", fallback=50),
                                  mass=cfg.getfloat("map", "mass",
                                                    fallback=0.5))
-            return target, target.base, float(target.cantor_anchor), echo
+            return target, target.base, float(target.cantor_anchor)
         if kind in ("rigid", "arnold"):
             recipe = {"kind": kind, "alpha": cfg.getfloat("map", "alpha")}
             if kind == "arnold":
                 recipe["amplitude"] = cfg.getfloat("map", "amplitude",
                                                    fallback=0.0)
             target = make_map(recipe)
-            return target, target, DEFAULT_ANCHOR, echo
+            return target, target, DEFAULT_ANCHOR
     except (ValueError, KeyError, configparser.Error) as err:
         raise ConfigError(f"config error in [map]: {err}") from err
     raise ConfigError(f"config error: unknown map kind {kind!r}")
@@ -157,7 +156,7 @@ def _qualifier(**kv) -> str:
     return ", ".join(f"{k}={v}" for k, v in kv.items())
 
 
-def _stage_rotation(report, diffeo, anchor, cfg):
+def _stage_rotation(report, target, diffeo, anchor, cfg):
     n = cfg.getint("experiment", "n", fallback=1000)
     lift = orbit_lift(diffeo, anchor, n)
     est = birkhoff_from_orbit(lift, n)
@@ -184,7 +183,7 @@ def _variation_input(diffeo, cfg):
     return log_derivative_function(diffeo)
 
 
-def _stage_variation(report, diffeo, anchor, cfg):
+def _stage_variation(report, target, diffeo, anchor, cfg):
     depth = cfg.getint("experiment", "depth", fallback=8)
     f = _variation_input(diffeo, cfg)
     rep = classify_regularity(f, depth)
@@ -210,7 +209,7 @@ def _stage_variation(report, diffeo, anchor, cfg):
     ]
 
 
-def _stage_crossratio(report, diffeo, anchor, cfg):
+def _stage_crossratio(report, target, diffeo, anchor, cfg):
     depth = cfg.getint("experiment", "depth", fallback=5)
     est = crd_variation_estimate(diffeo, partition_depth=depth)
     k3 = term_b_constant(diffeo, 0.1, 0.35)
@@ -296,8 +295,8 @@ def _stage_combinatorics(report, target, diffeo, anchor, cfg):
 
 
 def _stage_full(report, target, diffeo, anchor, cfg):
-    _stage_crossratio(report, diffeo, anchor, cfg)
-    _stage_variation(report, diffeo, anchor, cfg)
+    _stage_crossratio(report, target, diffeo, anchor, cfg)
+    _stage_variation(report, target, diffeo, anchor, cfg)
     _stage_conjugacy(report, target, diffeo, anchor, cfg)
     var = report.per_stage["variation"]
     finite_evidence = (not var["diverging"].get("zv", True)
@@ -318,43 +317,48 @@ def _stage_full(report, target, diffeo, anchor, cfg):
     })
 
 
-def run_experiment(text: str, seed: int = 0) -> ExperimentReport:
-    """Parse the config text, run its pipeline, and return the report."""
+_STAGES = {
+    "rotation": _stage_rotation,
+    "variation": _stage_variation,
+    "crossratio": _stage_crossratio,
+    "conjugacy": _stage_conjugacy,
+    "combinatorics": _stage_combinatorics,
+    "full-criterion": _stage_full,
+}
+
+
+def run_experiment(text: str) -> ExperimentReport:
+    """Parse the config text, run its pipeline, and return the report.
+
+    The library rejects a bad parameter with ValueError, so one raised
+    while reading [experiment] values or running the pipeline on them
+    becomes a ConfigError.
+    """
     cfg = _parse_config(text)
     pipeline = cfg.get("experiment", "pipeline")
     echo = {s: dict(cfg.items(s)) for s in cfg.sections()}
-    report = ExperimentReport(config_echo=echo, seed=seed)
+    report = ExperimentReport(config_echo=echo)
     if cfg.has_section("map"):
-        target, diffeo, anchor, _ = _build_target(cfg)
+        target, diffeo, anchor = _build_target(cfg)
     else:
         target, diffeo, anchor = None, None, DEFAULT_ANCHOR
-    if cfg.has_option("experiment", "x0"):
-        anchor = cfg.getfloat("experiment", "x0")
-
-    deadline = None
-    if cfg.has_option("experiment", "max_seconds"):
-        deadline = time.monotonic() + cfg.getfloat("experiment",
-                                                   "max_seconds")
-
-    stages = {
-        "rotation": lambda: _stage_rotation(report, diffeo, anchor, cfg),
-        "variation": lambda: _stage_variation(report, diffeo, anchor, cfg),
-        "crossratio": lambda: _stage_crossratio(report, diffeo, anchor, cfg),
-        "conjugacy": lambda: _stage_conjugacy(report, target, diffeo,
-                                              anchor, cfg),
-        "combinatorics": lambda: _stage_combinatorics(report, target,
-                                                      diffeo, anchor, cfg),
-        "full-criterion": lambda: _stage_full(report, target, diffeo,
-                                              anchor, cfg),
-    }
-    if deadline is not None and time.monotonic() > deadline:
-        report.incomplete = True
-    else:
-        t0 = time.monotonic()
-        stages[pipeline]()
-        report.timings[pipeline] = time.monotonic() - t0
+    try:
+        if cfg.has_option("experiment", "x0"):
+            anchor = cfg.getfloat("experiment", "x0")
+        deadline = None
+        if cfg.has_option("experiment", "max_seconds"):
+            deadline = time.monotonic() + cfg.getfloat("experiment",
+                                                       "max_seconds")
         if deadline is not None and time.monotonic() > deadline:
             report.incomplete = True
+        else:
+            t0 = time.monotonic()
+            _STAGES[pipeline](report, target, diffeo, anchor, cfg)
+            report.timings[pipeline] = time.monotonic() - t0
+            if deadline is not None and time.monotonic() > deadline:
+                report.incomplete = True
+    except ValueError as err:
+        raise ConfigError(f"config error in [experiment]: {err}") from err
     report.per_stage = _plain(report.per_stage)
     report.verdicts = _plain(report.verdicts)
     return report
@@ -436,11 +440,11 @@ def _cmd_run(args) -> int:
         out_dir = Path(args.out)
         if len(variants) == 1:
             tag, body = variants[0]
-            report = run_experiment(body, seed=args.seed)
+            report = run_experiment(body)
             written = [_write_outputs(report, out_dir, tag)]
             flagged = report.incomplete
         else:
-            reports = [(tag, run_experiment(body, seed=args.seed))
+            reports = [(tag, run_experiment(body))
                        for tag, body in variants]
             written = [_write_outputs(rep, out_dir, tag)
                        for tag, rep in reports]
@@ -480,7 +484,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config", help="path to an INI experiment config")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.set_defaults(func=_cmd_run)
 
     p_cat = sub.add_parser("catalog", help="inspect built-in targets")

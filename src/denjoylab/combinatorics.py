@@ -271,18 +271,3 @@ def macroscopic_delta(B: float, eps: float) -> KoebeConstants:
     return KoebeConstants(B=float(B), C=C, eps=float(eps), delta=delta,
                           i_star=i_star)
 
-
-def format_table(table: OrbitCombinatorics) -> str:
-    """One diagnostic line per arc: predecessors, successor, and the
-    natural neighborhood endpoints."""
-    def cell(v):
-        return "-" if v is None else str(v)
-
-    lines = []
-    for n in range(len(table)):
-        nb = table.natural_nbhd[n]
-        span = "-" if nb is None else f"[{nb.start:.6f},{nb.end:.6f}]"
-        lines.append("n=%d L=%s R=%s S=%s T=%s" % (
-            n, cell(table.left_pred[n]), cell(table.right_pred[n]),
-            cell(table.successor[n]), span))
-    return "\n".join(lines)

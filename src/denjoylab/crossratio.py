@@ -23,8 +23,6 @@ from .variation import (_derivative, _qv_resolved, log_derivative_function,
 
 #: spacing below which a 4-tuple is treated as degenerate
 MIN_SPACING = 1e-14
-#: relative tolerance for the equal-spacing predicate
-STANDARD_RTOL = 1e-12
 #: |eps| below which the remainder function uses its Taylor series
 SERIES_CUTOFF = 1e-4
 #: quadrature tolerance for averages of log-derivatives
@@ -33,6 +31,10 @@ QUAD_TOL = 1e-10
 BREAKDOWN_DEPTH = 9
 #: partition depth for per-arc budgets inside iterate_distortion_bound
 ARC_BUDGET_DEPTH = 7
+#: derivative samples behind the range ratio of term_b_constant
+TERM_B_SAMPLES = 257
+#: seeded random inner pairs per level in crd_variation_estimate
+CRD_INNER_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -54,13 +56,6 @@ class FourTuple:
     def _floats(self) -> tuple[float, float, float, float]:
         # plain floats: scalar numpy arithmetic costs several times more
         return float(self.a), float(self.b), float(self.c), float(self.d)
-
-    @property
-    def is_standard(self) -> bool:
-        """True when the three consecutive gaps agree to relative 1e-12."""
-        a, b, c, d = self._floats()
-        gaps = (b - a, c - b, d - c)
-        return max(gaps) - min(gaps) <= STANDARD_RTOL * max(gaps)
 
     def points(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d])
@@ -185,16 +180,17 @@ def delta_and_bound(eps: float, delta_floor: float) -> tuple[float, float]:
     return _delta(eps), _delta(delta_floor)
 
 
-def term_b_constant(h, x: float, y: float, samples: int = 257) -> float:
+def term_b_constant(h, x: float, y: float) -> float:
     """Constant K with |term_b| <= K * QV(log h' on [x, y]).
 
     From the measured derivative range: with R the sup/inf ratio of h'
     on [x, y], every pointwise ratio h'(t)/[h']_xy is at least 1/R, so
     the remainder factor is at most its value at 1/R - 1, and the
     squared relative deviation is at most R^2 times a squared increment
-    of log h'.  K = remainder(1/R - 1) * R^2 / 2.
+    of log h'.  K = remainder(1/R - 1) * R^2 / 2, with R read off
+    ``TERM_B_SAMPLES`` points.
     """
-    grid = np.linspace(x, y, samples)
+    grid = np.linspace(x, y, TERM_B_SAMPLES)
     d = np.asarray(_derivative(h, grid), dtype=float)
     if np.any(d <= 0.0):
         raise ValueError("derivative must be positive on the interval")
@@ -255,15 +251,14 @@ def iterate_distortion_bound(h: CircleDiffeo, n: int, t: FourTuple,
     return float(measured), float(budget)
 
 
-def crd_variation_estimate(f: CircleDiffeo, partition_depth: int,
-                           inner_samples: int = 8) -> float:
+def crd_variation_estimate(f: CircleDiffeo, partition_depth: int) -> float:
     """Lower-bound estimate of the variation of log cross-ratio
     distortion of f over the circle.
 
     For each dyadic level up to partition_depth, every cell contributes
     the largest log distortion over inner pairs (the trisection pair plus
-    seeded random pairs); the estimate is the best level sum, hence
-    non-decreasing in both parameters.
+    ``CRD_INNER_SAMPLES`` random pairs seeded by the level); the estimate
+    is the best level sum, hence non-decreasing in depth.
     """
     if partition_depth < 1:
         raise ValueError(f"partition_depth must be >= 1, got {partition_depth}")
@@ -274,12 +269,10 @@ def crd_variation_estimate(f: CircleDiffeo, partition_depth: int,
         a = np.arange(cells) * length
         d = a + length
         fa, fd = f.lift(a), f.lift(d)
-        pairs = [(1.0 / 3.0, 2.0 / 3.0)]
-        if inner_samples > 0:
-            r = np.random.default_rng(1000 + level).random((inner_samples, 2))
-            lo = 0.05 + 0.9 * np.min(r, axis=1)
-            hi = 0.052 + 0.9 * np.max(r, axis=1)
-            pairs.extend(zip(lo, hi))
+        r = np.random.default_rng(1000 + level).random((CRD_INNER_SAMPLES, 2))
+        lo = 0.05 + 0.9 * np.min(r, axis=1)
+        hi = 0.052 + 0.9 * np.max(r, axis=1)
+        pairs = [(1.0 / 3.0, 2.0 / 3.0)] + list(zip(lo, hi))
         cell_best = np.zeros(cells)
         for u, v in pairs:
             b = a + u * length

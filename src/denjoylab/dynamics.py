@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PeriodicOrbitError
-from .maps import Arc, CircleDiffeo, arc_image, inverse_eval, orbit_lift
+from .maps import Arc, CircleDiffeo, arc_image, orbit_lift
 from .rotation import PERIOD_TOL, birkhoff_from_orbit
 from .util import circle_dist, frac
 
@@ -46,7 +46,6 @@ class OrbitProfile:
     gap_trend: tuple
     periodicity: int | None
     verdict: str
-    direction: str = "forward"
 
 
 @dataclass(frozen=True)
@@ -175,8 +174,8 @@ def _max_circular_gap(points: np.ndarray) -> float:
 
 
 def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int,
-                      resolution: int, direction: str = "forward") -> OrbitProfile:
-    """Gap structure of the forward (or backward) orbit of x0.
+                      resolution: int) -> OrbitProfile:
+    """Gap structure of the forward orbit of x0.
 
     Records the largest complementary gap at budgets n/4, n/2 and n, then
     judges the limit-set trichotomy: gaps shrinking below 8/n look dense,
@@ -185,18 +184,9 @@ def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int,
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
-    period = None
-    if direction == "forward":
-        orbit = _anchor_orbit(diffeo, x0, n, min(n, 1000))
-        pts = frac(orbit[:n + 1])
-        period = _detect_period(orbit, min(n, 1000))
-    elif direction == "backward":
-        vals = [x0]
-        for _ in range(n):
-            vals.append(inverse_eval(diffeo, vals[-1]))
-        pts = frac(np.array(vals))
-    else:
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
+    orbit = _anchor_orbit(diffeo, x0, n, min(n, 1000))
+    pts = frac(orbit[:n + 1])
+    period = _detect_period(orbit, min(n, 1000))
 
     checkpoints = sorted({max(10, n // 4), max(10, n // 2), n})
     trend = tuple((k, _max_circular_gap(pts[:k + 1])) for k in checkpoints)
@@ -216,7 +206,7 @@ def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int,
     scale = 2.0 ** resolution
     dedup = np.unique(np.round(pts * scale) / scale) % 1.0
     return OrbitProfile(points=dedup, max_gap=max_gap, gap_trend=trend,
-                        periodicity=period, verdict=verdict, direction=direction)
+                        periodicity=period, verdict=verdict)
 
 
 def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugacy:

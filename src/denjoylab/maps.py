@@ -17,13 +17,13 @@ import numpy as np
 from .errors import NotDifferentiableError, RootFindError
 from .util import adaptive_simpson, frac
 
-#: default tolerance for pointwise lift evaluations / identity checks
-EVAL_TOL = 1e-12
-#: default tolerance for inverse evaluation (bisection target; a Newton
-#: polish usually lands far below this when a derivative is available)
+#: bisection target of inverse evaluation (a Newton polish usually lands
+#: far below this when a derivative is available)
 ROOT_TOL = 1e-10
 #: default grid size for lift validation
 VALIDATE_GRID = 10_000
+#: adaptive-Simpson target for the per-cell integrals of lift validation
+VALIDATE_QUAD_TOL = 1e-12
 #: argument types that periodic_lift and the Denjoy lift evaluate on plain floats
 SCALAR_TYPES = (float, int, np.floating, np.integer)
 
@@ -72,8 +72,6 @@ class CircleDiffeo:
     Fields:
         lift_eval: the lift F, accepting floats or numpy arrays.
         lift_derivative: F' when the map is C1, else None.
-        degree_offset: always 1 for orientation-preserving degree-one maps;
-            kept explicit so validation can state what it checked.
         label: human-readable tag used in reports.
         lift_inverse: a closed-form F^{-1} on floats, or None to let
             ``inverse_eval`` solve by bisection.  It must invert
@@ -85,7 +83,6 @@ class CircleDiffeo:
 
     lift_eval: Callable
     lift_derivative: Callable | None = None
-    degree_offset: int = 1
     label: str = ""
     lift_inverse: Callable | None = None
 
@@ -96,10 +93,6 @@ class CircleDiffeo:
         if self.lift_derivative is None:
             raise NotDifferentiableError(f"map {self.label!r} is not C1: no derivative stored")
         return self.lift_derivative(x)
-
-    def angle(self, x):
-        """Circle position of the image of x."""
-        return frac(self.lift_eval(x))
 
 
 def periodic_lift(displacement: Callable, displacement_derivative: Callable | None = None,
@@ -131,11 +124,11 @@ def periodic_lift(displacement: Callable, displacement_derivative: Callable | No
     return CircleDiffeo(lift_eval=lift, lift_derivative=deriv, label=label)
 
 
-def inverse_eval(diffeo: CircleDiffeo, y: float, tol: float = ROOT_TOL) -> float:
+def inverse_eval(diffeo: CircleDiffeo, y: float) -> float:
     """Solve F(x) = y for the lift F.
 
     Returns ``diffeo.lift_inverse(y)`` when the map carries a closed-form
-    inverse; ``tol`` is then unused.  Otherwise bracketed bisection on
+    inverse.  Otherwise bracketed bisection to ``ROOT_TOL`` on
     [y - 1, y + 1] (valid whenever the displacement F(x) - x stays inside
     (-1, 1), which holds for every catalog map), followed by a Newton
     polish when a derivative is available.
@@ -164,7 +157,7 @@ def inverse_eval(diffeo: CircleDiffeo, y: float, tol: float = ROOT_TOL) -> float
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= ROOT_TOL:
             break
     else:
         raise RootFindError(
@@ -181,7 +174,7 @@ def inverse_eval(diffeo: CircleDiffeo, y: float, tol: float = ROOT_TOL) -> float
             x -= step
             if abs(step) < 1e-16:
                 break
-        if not lo - tol <= x <= hi + tol:
+        if not lo - ROOT_TOL <= x <= hi + ROOT_TOL:
             x = 0.5 * (lo + hi)
     return x
 
@@ -233,12 +226,12 @@ class LiftValidationReport:
 
 
 def validate_lift(diffeo: CircleDiffeo, grid_size: int = VALIDATE_GRID,
-                  tol: float = 1e-8, quadrature_tol: float = 1e-12) -> LiftValidationReport:
+                  tol: float = 1e-8) -> LiftValidationReport:
     """Check periodicity, monotonicity and derivative consistency on a grid.
 
     The derivative/increment check integrates F' over each grid cell with
-    adaptive Simpson and compares against F(b) - F(a); it is skipped when
-    the map carries no derivative.
+    adaptive Simpson to ``VALIDATE_QUAD_TOL`` and compares against
+    F(b) - F(a); it is skipped when the map carries no derivative.
     """
     xs = np.linspace(0.0, 1.0, grid_size + 1)
     fx = np.asarray(diffeo.lift_eval(xs), dtype=float)
@@ -256,7 +249,7 @@ def validate_lift(diffeo: CircleDiffeo, grid_size: int = VALIDATE_GRID,
         deriv = diffeo.lift_derivative
         for a, b, df in zip(xs[:-1], xs[1:], increments):
             integral = adaptive_simpson(lambda t: float(deriv(t)), float(a), float(b),
-                                        tol=quadrature_tol)
+                                        tol=VALIDATE_QUAD_TOL)
             worst = max(worst, abs(integral - float(df)))
         increment_defect = worst
 
@@ -270,7 +263,7 @@ def validate_lift(diffeo: CircleDiffeo, grid_size: int = VALIDATE_GRID,
     )
 
 
-def compose(outer: CircleDiffeo, inner: CircleDiffeo, label: str = "") -> CircleDiffeo:
+def compose(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
     """Lift composition outer o inner."""
     def lift(x):
         return outer.lift_eval(inner.lift_eval(x))
@@ -282,44 +275,5 @@ def compose(outer: CircleDiffeo, inner: CircleDiffeo, label: str = "") -> Circle
             return outer.lift_derivative(y) * inner.lift_derivative(x)
 
     return CircleDiffeo(lift_eval=lift, lift_derivative=deriv,
-                        label=label or f"({outer.label} o {inner.label})")
+                        label=f"({outer.label} o {inner.label})")
 
-
-def conjugate(h: CircleDiffeo, f: CircleDiffeo, label: str = "") -> CircleDiffeo:
-    """The conjugated map h o f o h^{-1} (h must be a diffeomorphism).
-
-    inverse_eval lands in [0, 1), so the integer part stripped from the
-    argument is restored afterwards to keep the result a degree-one lift.
-    """
-    def _lift_inverse(v: float) -> tuple[float, float]:
-        z = inverse_eval(h, v)
-        return z, round(v - float(h.lift_eval(z)))
-
-    def _lift_one(v: float) -> float:
-        z, m = _lift_inverse(v)
-        return float(h.lift_eval(f.lift_eval(z))) + m
-
-    def _vectorized(scalar_fn, x):
-        if np.ndim(x) == 0:
-            return scalar_fn(float(x))
-        flat = np.asarray(x, dtype=float)
-        out = np.fromiter((scalar_fn(float(v)) for v in flat.ravel()),
-                          dtype=float, count=flat.size)
-        return out.reshape(flat.shape)
-
-    def lift(x):
-        return _vectorized(_lift_one, x)
-
-    deriv = None
-    if h.lift_derivative is not None and f.lift_derivative is not None:
-        def _deriv_one(v: float) -> float:
-            z, _ = _lift_inverse(v)
-            fz = f.lift_eval(z)
-            return float(h.lift_derivative(fz) * f.lift_derivative(z)
-                         / h.lift_derivative(z))
-
-        def deriv(x):  # noqa: F811
-            return _vectorized(_deriv_one, x)
-
-    return CircleDiffeo(lift_eval=lift, lift_derivative=deriv,
-                        label=label or f"conj({h.label}, {f.label})")

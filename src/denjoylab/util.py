@@ -6,6 +6,11 @@ from typing import Callable
 
 import numpy as np
 
+#: recursion cap of adaptive Simpson against pathological refinement
+SIMPSON_MAX_DEPTH = 48
+#: partial quotient past which a continued fraction is float noise
+CF_STOP_QUOTIENT = 1e9
+
 
 def frac(x):
     """Fractional part mapped to [0, 1)."""
@@ -24,11 +29,11 @@ def ccw_gap(a: float, b: float) -> float:
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-10, max_depth: int = 48) -> float:
+                     tol: float = 1e-10) -> float:
     """Adaptive Simpson quadrature of f over [a, b].
 
     Recursion splits until the two-panel correction is below tol for the
-    local slice; max_depth caps pathological refinement.
+    local slice, or ``SIMPSON_MAX_DEPTH`` levels deep.
     """
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
@@ -43,7 +48,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         flm, frm = f(lm), f(rm)
         left = _whole(lo, mid, flo, fmid, flm)
         right = _whole(mid, hi, fmid, fhi, frm)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
+        if depth >= SIMPSON_MAX_DEPTH or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return (_rec(lo, mid, flo, fmid, flm, left, eps / 2.0, depth + 1)
                 + _rec(mid, hi, fmid, fhi, frm, right, eps / 2.0, depth + 1))
@@ -56,17 +61,16 @@ def dyadic_grid(lo: float, hi: float, depth: int) -> np.ndarray:
     return np.linspace(lo, hi, 2 ** depth + 1)
 
 
-def continued_fraction(x: float, max_terms: int = 25,
-                       stop_quotient: float = 1e9) -> list[int]:
-    """Partial quotients of x; stops when a quotient exceeds stop_quotient
-    (float noise past the rational cutoff) or max_terms is reached."""
+def continued_fraction(x: float, max_terms: int = 25) -> list[int]:
+    """Partial quotients of x; stops when a quotient exceeds
+    ``CF_STOP_QUOTIENT`` or max_terms is reached."""
     quotients = []
     y = float(x)
     for _ in range(max_terms):
         a = math.floor(y)
         quotients.append(a)
         rem = y - a
-        if rem < 1.0 / stop_quotient:
+        if rem < 1.0 / CF_STOP_QUOTIENT:
             break
         y = 1.0 / rem
     return quotients

@@ -17,7 +17,7 @@ import numpy as np
 from .catalog import IntervalFunction
 from .errors import NotDifferentiableError, UnresolvedExtremaError
 from .maps import CircleDiffeo
-from .util import adaptive_simpson, dyadic_grid
+from .util import dyadic_grid
 
 #: growth per depth doubling above which a functional is marked diverging
 DIVERGENCE_RATIO = 1.10
@@ -40,22 +40,6 @@ def total_variation_estimate(f: IntervalFunction, depth: int) -> float:
     return float(np.sum(np.abs(np.diff(vals))))
 
 
-def dyadic_second_differences(f: IntervalFunction, level: int) -> np.ndarray:
-    """Signed midpoint second differences f(a) + f(b) - 2 f(m) over the
-    2**level cells of the dyadic partition at ``level``."""
-    lo, hi = f.domain
-    vals = np.asarray(f.eval(dyadic_grid(lo, hi, level + 1)), dtype=float)
-    ends = vals[::2]
-    mids = vals[1::2]
-    return ends[:-1] + ends[1:] - 2.0 * mids
-
-
-def zygmund_level_sums(f: IntervalFunction, depth: int) -> np.ndarray:
-    """Per-level sums of |midpoint second differences|, levels 1..depth."""
-    return np.array([float(np.sum(np.abs(dyadic_second_differences(f, k))))
-                     for k in range(1, depth + 1)])
-
-
 def zygmund_variation_estimate(f: IntervalFunction, depth: int) -> float:
     """Largest midpoint-second-difference sum over partitions with dyadic
     breakpoints of level <= depth.
@@ -76,32 +60,6 @@ def zygmund_variation_estimate(f: IntervalFunction, depth: int) -> float:
     dp[0] = 0.0
     for j in range(1, p):
         w = np.abs(coarse[:j] + coarse[j] - 2.0 * fine[j:2 * j])
-        dp[j] = float(np.max(dp[:j] + w))
-    return float(dp[-1])
-
-
-def avg_zygmund_variation(f: IntervalFunction, depth: int) -> float:
-    """Same partition family as ``zygmund_variation_estimate`` with the
-    cell midpoint value replaced by the cell average of f.
-
-    Cell averages come from cumulative adaptive-Simpson integrals over the
-    finest cells, so every coarser average is their exact combination.
-    """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    lo, hi = f.domain
-    grid = dyadic_grid(lo, hi, depth)
-    vals = np.asarray(f.eval(grid), dtype=float)
-    cell_ints = np.array([adaptive_simpson(lambda t: float(np.asarray(f.eval(t))),
-                                           float(a), float(b), tol=1e-12)
-                          for a, b in zip(grid[:-1], grid[1:])])
-    cum = np.concatenate([[0.0], np.cumsum(cell_ints)])
-    p = grid.size
-    dp = np.empty(p)
-    dp[0] = 0.0
-    for j in range(1, p):
-        avg = (cum[j] - cum[:j]) / (grid[j] - grid[:j])
-        w = np.abs(vals[:j] + vals[j] - 2.0 * avg)
         dp[j] = float(np.max(dp[:j] + w))
     return float(dp[-1])
 
@@ -318,8 +276,8 @@ def _derivative(h, x):
     raise NotDifferentiableError(f"cannot differentiate {h!r}")
 
 
-def log_derivative_function(diffeo, lo: float = 0.0, hi: float = 1.0,
-                            label: str = "") -> IntervalFunction:
+def log_derivative_function(diffeo, lo: float = 0.0,
+                            hi: float = 1.0) -> IntervalFunction:
     """log of the derivative as an interval function on [lo, hi].
 
     ``diffeo`` is a circle diffeomorphism (its lift derivative is used)
@@ -331,4 +289,4 @@ def log_derivative_function(diffeo, lo: float = 0.0, hi: float = 1.0,
         return float(out) if np.ndim(x) == 0 else out
 
     return IntervalFunction(domain=(float(lo), float(hi)), eval=f,
-                            label=label or f"log deriv of {diffeo.label}")
+                            label=f"log deriv of {diffeo.label}")

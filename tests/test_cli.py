@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from denjoylab import (birkhoff_estimate, build_semiconjugacy, cli,
-                       conjugacy_verdict, dynamics, maps, rotation)
+from denjoylab import (PeriodicOrbitError, birkhoff_estimate,
+                       build_semiconjugacy, cli, conjugacy_verdict, dynamics,
+                       maps, rotation)
 from denjoylab.cli import (ConfigError, _build_target, _parse_config, main,
                            run_experiment, _sweep_configs)
 
@@ -65,7 +66,7 @@ class TestRotationPipeline:
         rc, out = _run(tmp_path, ROT)
         assert rc == 0
         rep = json.loads((out / "report.json").read_text())
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
         assert abs(rep["per_stage"]["rotation"]["value"] - 0.618) < 1e-9
         assert rep["per_stage"]["rotation"]["error_bound"] == 0.002
         csv = (out / "series_rotation.csv").read_text().splitlines()
@@ -73,8 +74,8 @@ class TestRotationPipeline:
         assert len(csv) > 10
 
     def test_reports_are_deterministic(self):
-        a = run_experiment(ROT, seed=3)
-        b = run_experiment(ROT, seed=3)
+        a = run_experiment(ROT)
+        b = run_experiment(ROT)
         assert a.to_json(with_timings=False) == b.to_json(with_timings=False)
 
     def test_stage_iterates_one_orbit(self, monkeypatch):
@@ -90,7 +91,7 @@ class TestRotationPipeline:
         stage = run_experiment(ROT).per_stage["rotation"]
         assert steps == [1000]
         monkeypatch.undo()
-        _, diffeo, anchor, _ = _build_target(_parse_config(ROT))
+        _, diffeo, anchor = _build_target(_parse_config(ROT))
         assert stage["value"] == birkhoff_estimate(diffeo, anchor, 1000).value
 
 
@@ -140,7 +141,7 @@ class TestConjugacyPipeline:
     def test_x0_moves_only_the_gap_profile(self):
         text = CONJ_DENJOY.replace("budget = 400", "budget = 400\nx0 = 0.3")
         c = run_experiment(text).per_stage["conjugacy"]
-        target, diffeo, anchor, _ = _build_target(_parse_config(text))
+        target, diffeo, anchor = _build_target(_parse_config(text))
         semi = conjugacy_verdict(target, 400).semi
         assert semi.anchor == anchor != 0.3
         assert c["alpha"] == semi.alpha
@@ -225,16 +226,39 @@ class TestSweep:
             _sweep_configs(text)
 
 
+RIGID = "\n[map]\nkind = rigid\nalpha = 0.618\n"
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("text", [
         "[experiment]\npipeline = wat\n[map]\nkind = rigid\nalpha = 0.6\n",
         "[experiment]\npipeline = rotation\n",
         "[experiment]\nn = 5\n[map]\nkind = rigid\nalpha = 0.6\n",
         "not an ini {{{{",
+        # values the library rejects with ValueError
+        "[experiment]\npipeline = rotation\nn = 0\n" + RIGID,
+        "[experiment]\npipeline = rotation\nn = abc\n" + RIGID,
+        "[experiment]\npipeline = conjugacy\nn = 50\n" + RIGID,
+        "[experiment]\npipeline = variation\ndepth = 2\n" + RIGID,
+        "[experiment]\npipeline = crossratio\ndepth = 0\n" + RIGID,
+        "[experiment]\npipeline = combinatorics\ncount = -3\n" + RIGID,
     ])
-    def test_bad_configs_exit_two(self, tmp_path, text):
+    def test_bad_configs_exit_two(self, tmp_path, capsys, text):
         rc, _ = _run(tmp_path, text)
         assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_periodic_orbit_still_exits_one(self, tmp_path, capsys,
+                                            monkeypatch):
+        def periodic(*args):
+            raise PeriodicOrbitError(3)
+
+        monkeypatch.setitem(cli._STAGES, "rotation", periodic)
+        rc, _ = _run(tmp_path, ROT)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("experiment aborted")
 
     def test_missing_file(self, tmp_path):
         rc = main(["run", str(tmp_path / "nope.ini"),

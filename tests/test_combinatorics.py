@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _combinatorics_oracle import brute_table
-from denjoylab import (Arc, KoebeConstants, eps_scale, format_table,
+from denjoylab import (Arc, KoebeConstants, eps_scale,
                        intersection_multiplicity, interval_orbit, make_map,
                        macroscopic_delta, natural_neighborhood,
                        predecessor_successor_table, pullback_arcs)
@@ -138,13 +138,6 @@ class TestTableInputs:
         assert fat.successor == ref.successor
         assert fat.left_pred == ref.left_pred
         assert fat.right_pred == ref.right_pred
-
-    def test_format_table_lists_every_index(self):
-        _, arcs = point_arcs(GOLDEN, 5)
-        t = predecessor_successor_table(arcs)
-        lines = format_table(t).splitlines()
-        assert len(lines) == 6
-        assert lines[1].startswith("n=1 L=0 R=0")
 
 
 class TestIntersectionMultiplicity:

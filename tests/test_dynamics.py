@@ -45,7 +45,6 @@ class TestOmegaGapProfile:
         prof = omega_gap_profile(golden_rotation, 0.1, n=800, resolution=30)
         assert prof.verdict == "dense-like"
         assert prof.max_gap < 8.0 / 800
-        assert prof.direction == "forward"
         # gap trend shrinks as the sample grows
         gaps = [g for _, g in prof.gap_trend]
         assert gaps[-1] <= gaps[0]
@@ -61,17 +60,6 @@ class TestOmegaGapProfile:
                                  n=1000, resolution=30)
         assert prof.verdict == "Cantor-like"
         assert prof.max_gap > 20.0 / 1000
-
-    def test_backward_direction(self, golden_rotation):
-        prof = omega_gap_profile(golden_rotation, 0.1, n=400, resolution=20,
-                                 direction="backward")
-        assert prof.verdict == "dense-like"
-        assert prof.direction == "backward"
-
-    def test_unknown_direction_rejected(self, golden_rotation):
-        with pytest.raises(ValueError):
-            omega_gap_profile(golden_rotation, 0.1, n=100, resolution=10,
-                              direction="sideways")
 
 
 class TestSemiConjugacy:

@@ -1,14 +1,10 @@
 """Arcs, lifts, inversion, iteration and composition."""
-import math
-
 import numpy as np
 import pytest
 
-from denjoylab import (Arc, arc_image, compose, conjugate, inverse_eval,
-                       make_map, orbit_lift, periodic_lift, validate_lift)
+from denjoylab import (Arc, arc_image, compose, inverse_eval, make_map,
+                       orbit_lift, periodic_lift, validate_lift)
 from denjoylab.util import circle_dist, frac
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _arnold(alpha, amp):
@@ -108,12 +104,3 @@ def test_compose_rotations_adds_angles():
     fg = compose(f, g)
     xs = np.linspace(0.0, 1.0, 33)
     assert np.allclose(fg.lift(xs), xs + 0.55, atol=1e-12)
-
-
-def test_conjugate_preserves_circle_structure():
-    h = _arnold(0.0, 0.5)
-    f = make_map({"kind": "rigid", "alpha": GOLDEN})
-    g = conjugate(h, f)
-    xs = np.linspace(0.0, 1.0, 65)
-    assert np.allclose(g.lift(xs + 1.0), g.lift(xs) + 1.0, atol=1e-10)
-    assert np.all(np.diff(g.lift(xs)) > 0.0)

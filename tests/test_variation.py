@@ -9,12 +9,9 @@ from denjoylab import (IntervalFunction, NotDifferentiableError,
                        UnresolvedExtremaError, classify_regularity,
                        example_function, make_map, quadratic_variation)
 from denjoylab.util import dyadic_grid
-from denjoylab.variation import (avg_zygmund_variation,
-                                 dyadic_second_differences,
-                                 log_derivative_function,
+from denjoylab.variation import (log_derivative_function,
                                  total_variation_estimate,
-                                 zygmund_level_sums, zygmund_norm_estimate,
-                                 zygmund_norm_profile,
+                                 zygmund_norm_estimate, zygmund_norm_profile,
                                  zygmund_variation_estimate)
 
 
@@ -44,22 +41,6 @@ class TestZygmundVariation:
     def test_square_attains_half_on_single_cell(self):
         # per-cell second difference is (b-a)^2 / 2, so coarser is bigger
         assert zygmund_variation_estimate(SQUARE, 6) == pytest.approx(0.5)
-
-    def test_level_sums_halve_for_square(self):
-        # level j holds 2**j cells contributing (2**-j)**2 / 2 apiece
-        sums = zygmund_level_sums(SQUARE, 5)
-        assert sums.shape == (5,)
-        assert np.allclose(sums, [2.0 ** -(j + 1) for j in range(1, 6)])
-
-    def test_second_differences_uniform_for_square(self):
-        d = dyadic_second_differences(SQUARE, 3)
-        assert np.allclose(d, (1.0 / 8.0) ** 2 / 2.0)
-
-    def test_average_variant_sandwich(self):
-        avg = avg_zygmund_variation(SQUARE, 6)
-        zv = zygmund_variation_estimate(SQUARE, 6)
-        assert avg == pytest.approx(1.0 / 3.0)
-        assert avg <= zv <= 2.0 * avg + 1e-12
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(11)
