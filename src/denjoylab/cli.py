@@ -11,9 +11,14 @@ Config layout::
     pipeline = rotation | variation | crossratio | conjugacy |
                combinatorics | full-criterion
     n = 1000              ; orbit budget where applicable
+    budget = 1000         ; conjugacy iterate budget, falls back to n
     depth = 8             ; estimator depth where applicable
+    x0 = 0.3              ; optional start point in place of the anchor
+    function = ex2        ; ex1 | ex2 | ex3 in place of the map's log Df
+    function_depth = 12   ; depth of that example function
+    count = 60            ; combinatorics orbit arcs
     emit_series = true    ; write series_<stage>.csv
-    max_seconds = 120     ; optional wall budget, report flagged
+    max_seconds = 120     ; optional wall budget > 0, report flagged
                           ; incomplete when exceeded
 
     [map]
@@ -50,7 +55,8 @@ from .combinatorics import (PULLBACK_MULTIPLICITY_BOUND,
                             intersection_multiplicity, natural_neighborhood,
                             predecessor_successor_table, pullback_arcs)
 from .crossratio import crd_variation_estimate, term_b_constant
-from .dynamics import conjugacy_verdict, interval_orbit, omega_gap_profile
+from .dynamics import (DEFAULT_ANCHOR, conjugacy_verdict, interval_orbit,
+                       omega_gap_profile)
 from .errors import DenjoyLabError, PeriodicOrbitError
 from .maps import Arc, orbit_lift
 from .rotation import birkhoff_from_orbit
@@ -61,9 +67,6 @@ from .variation import (classify_regularity, log_derivative_function,
 SCHEMA_VERSION = 2
 PIPELINES = ("rotation", "variation", "crossratio", "conjugacy",
              "combinatorics", "full-criterion")
-
-#: start point used when a map carries no distinguished anchor
-DEFAULT_ANCHOR = 0.1234567891
 
 
 class ConfigError(DenjoyLabError):
@@ -229,7 +232,9 @@ def _stage_conjugacy(report, target, diffeo, anchor, cfg):
                         fallback=cfg.getint("experiment", "n",
                                             fallback=1000))
     verdict = conjugacy_verdict(target, budget)
-    prof = omega_gap_profile(diffeo, anchor, n=budget, resolution=30)
+    prof = verdict.profile
+    if cfg.has_option("experiment", "x0"):
+        prof = omega_gap_profile(diffeo, anchor, budget)
     metrics = {
         "kind": verdict.kind,
         "detail": verdict.detail,
@@ -345,20 +350,20 @@ def run_experiment(text: str) -> ExperimentReport:
     try:
         if cfg.has_option("experiment", "x0"):
             anchor = cfg.getfloat("experiment", "x0")
-        deadline = None
-        if cfg.has_option("experiment", "max_seconds"):
-            deadline = time.monotonic() + cfg.getfloat("experiment",
-                                                       "max_seconds")
-        if deadline is not None and time.monotonic() > deadline:
-            report.incomplete = True
-        else:
-            t0 = time.monotonic()
-            _STAGES[pipeline](report, target, diffeo, anchor, cfg)
-            report.timings[pipeline] = time.monotonic() - t0
-            if deadline is not None and time.monotonic() > deadline:
-                report.incomplete = True
+        emit = cfg.getboolean("experiment", "emit_series", fallback=False)
+        max_seconds = cfg.getfloat("experiment", "max_seconds",
+                                   fallback=np.inf)
+        if not max_seconds > 0.0:
+            raise ValueError(f"max_seconds must be > 0, got {max_seconds}")
+        t0 = time.monotonic()
+        _STAGES[pipeline](report, target, diffeo, anchor, cfg)
+        elapsed = time.monotonic() - t0
     except ValueError as err:
         raise ConfigError(f"config error in [experiment]: {err}") from err
+    report.timings[pipeline] = elapsed
+    report.incomplete = elapsed > max_seconds
+    if not emit:
+        report.series = {}
     report.per_stage = _plain(report.per_stage)
     report.verdicts = _plain(report.verdicts)
     return report
@@ -382,17 +387,13 @@ def _plain(obj):
 def _write_outputs(report: ExperimentReport, out_dir: Path,
                    tag: str = "") -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = f"report{tag}.json"
-    path = out_dir / name
+    path = out_dir / f"report{tag}.json"
     path.write_text(report.to_json())
-    emit = report.config_echo.get("experiment", {}).get("emit_series",
-                                                        "false")
-    if str(emit).lower() in ("1", "true", "yes", "on"):
-        for stage, rows in report.series.items():
-            csv_path = out_dir / f"series_{stage}{tag}.csv"
-            lines = ["n,value,bound"]
-            lines += [f"{int(n)},{v!r},{b!r}" for n, v, b in rows]
-            csv_path.write_text("\n".join(lines) + "\n")
+    for stage, rows in report.series.items():
+        lines = ["n,value,bound"]
+        lines += [f"{int(n)},{v!r},{b!r}" for n, v, b in rows]
+        csv_path = out_dir / f"series_{stage}{tag}.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -436,19 +437,10 @@ def _cmd_run(args) -> int:
         print(f"cannot read config {path}: {err}", file=sys.stderr)
         return 2
     try:
-        variants = _sweep_configs(text)
-        out_dir = Path(args.out)
-        if len(variants) == 1:
-            tag, body = variants[0]
-            report = run_experiment(body)
-            written = [_write_outputs(report, out_dir, tag)]
-            flagged = report.incomplete
-        else:
-            reports = [(tag, run_experiment(body))
-                       for tag, body in variants]
-            written = [_write_outputs(rep, out_dir, tag)
-                       for tag, rep in reports]
-            flagged = any(rep.incomplete for _, rep in reports)
+        reports = [(tag, run_experiment(body))
+                   for tag, body in _sweep_configs(text)]
+        written = [_write_outputs(rep, Path(args.out), tag)
+                   for tag, rep in reports]
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return 2
@@ -460,7 +452,7 @@ def _cmd_run(args) -> int:
         return 1
     for p in written:
         print(p)
-    if flagged:
+    if any(rep.incomplete for _, rep in reports):
         print("warning: budget exceeded, report incomplete", file=sys.stderr)
     return 0
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .maps import Arc, CircleDiffeo, inverse_eval
+from .maps import Arc, CircleDiffeo, first_overlap, inverse_eval
 from .util import ccw_gap, frac
 
 #: observed ceiling for the intersection multiplicity of natural
@@ -69,15 +69,6 @@ class KoebeConstants:
     i_star: int
 
 
-def _check_disjoint(arcs: Sequence[Arc]) -> None:
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            if arcs[i].intersects(arcs[j], tol=0.0):
-                raise ValueError(
-                    f"arcs {i} and {j} overlap; the table needs a pairwise "
-                    "disjoint family")
-
-
 def predecessor_successor_table(arcs: Sequence[Arc]) -> OrbitCombinatorics:
     """Build the full predecessor/successor table of the family.
 
@@ -94,7 +85,10 @@ def predecessor_successor_table(arcs: Sequence[Arc]) -> OrbitCombinatorics:
     arcs = tuple(arcs)
     if not arcs:
         raise ValueError("need at least one arc")
-    _check_disjoint(arcs)
+    clash = first_overlap(arcs)
+    if clash is not None:
+        raise ValueError(f"arcs {clash[0]} and {clash[1]} overlap; the table "
+                         "needs a pairwise disjoint family")
     count = len(arcs)
     top = count - 1
     starts = np.array([a.start for a in arcs])

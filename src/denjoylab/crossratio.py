@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import dblquad
 
 from .errors import DegenerateTupleError, NonMonotoneMapError
-from .maps import CircleDiffeo
+from .maps import CircleDiffeo, first_overlap
 from .util import adaptive_simpson
 from .variation import (_derivative, _qv_resolved, log_derivative_function,
                         zygmund_variation_estimate)
@@ -212,10 +212,10 @@ def iterate_distortion_bound(h: CircleDiffeo, n: int, t: FourTuple,
     arcs = list(arcs)
     if len(arcs) != n:
         raise ValueError(f"need n={n} arcs, got {len(arcs)}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if arcs[i].intersects(arcs[j]):
-                raise ValueError(f"arcs {i} and {j} overlap; images must be disjoint")
+    clash = first_overlap(arcs)
+    if clash is not None:
+        raise ValueError(f"arcs {clash[0]} and {clash[1]} overlap; images "
+                         "must be disjoint")
     if not (arcs[0].contains(t.a) and arcs[0].contains(t.d)):
         raise ValueError("tuple must lie inside arcs[0]")
 

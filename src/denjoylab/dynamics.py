@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PeriodicOrbitError
-from .maps import Arc, CircleDiffeo, arc_image, orbit_lift
+from .maps import Arc, CircleDiffeo, arc_image, first_overlap, orbit_lift
 from .rotation import PERIOD_TOL, birkhoff_from_orbit
 from .util import circle_dist, frac
 
@@ -29,19 +29,19 @@ DENSE_GAP_FACTOR = 8.0
 CANTOR_GAP_FACTOR = 20.0
 #: relative agreement of the last two gap-trend values for "stabilized"
 STABLE_RTOL = 0.05
+#: start point used when a map carries no distinguished anchor
+DEFAULT_ANCHOR = 0.1234567891
 
 
 @dataclass(frozen=True)
 class OrbitProfile:
     """Finite-orbit approximation of a limit set.
 
-    ``gap_trend`` holds (budget, largest complementary gap) checkpoints;
-    ``points`` is the visited set deduplicated at the stated resolution.
+    ``gap_trend`` holds (budget, largest complementary gap) checkpoints.
     The verdict is one of dense-like, Cantor-like, periodic-like or
     unresolved, judged from the trend at the final budget.
     """
 
-    points: np.ndarray
     max_gap: float
     gap_trend: tuple
     periodicity: int | None
@@ -101,6 +101,8 @@ class ConjugacyVerdict:
     detail: str = ""
     #: the semi-conjugacy the verdict was read from; None for a rational map
     semi: SemiConjugacy | None = field(default=None, compare=False, repr=False)
+    #: the gap profile of the anchor orbit the verdict was read from
+    profile: OrbitProfile | None = field(default=None, compare=False, repr=False)
 
 
 def _burn_in(budget: int) -> int:
@@ -148,14 +150,7 @@ def wandering_verdict(diffeo: CircleDiffeo, arc: Arc, n: int,
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     images = [arc] + interval_orbit(diffeo, arc, n)
-    first_clash = None
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if images[i].intersects(images[j], tol=tol):
-                first_clash = (i, j)
-                break
-        if first_clash:
-            break
+    first_clash = first_overlap(images, tol)
     min_length = min(a.length for a in images)
     if first_clash is None:
         return WanderingVerdict("wandering-up-to-n", min_length=min_length)
@@ -173,8 +168,7 @@ def _max_circular_gap(points: np.ndarray) -> float:
     return float(max(np.max(gaps), 1.0 - s[-1] + s[0]))
 
 
-def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int,
-                      resolution: int) -> OrbitProfile:
+def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int) -> OrbitProfile:
     """Gap structure of the forward orbit of x0.
 
     Records the largest complementary gap at budgets n/4, n/2 and n, then
@@ -184,7 +178,11 @@ def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int,
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
-    orbit = _anchor_orbit(diffeo, x0, n, min(n, 1000))
+    return _gap_profile(_anchor_orbit(diffeo, x0, n, min(n, 1000)), n)
+
+
+def _gap_profile(orbit: np.ndarray, n: int) -> OrbitProfile:
+    """omega_gap_profile read from the _anchor_orbit of budget min(n, 1000)."""
     pts = frac(orbit[:n + 1])
     period = _detect_period(orbit, min(n, 1000))
 
@@ -202,10 +200,7 @@ def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int,
         verdict = "Cantor-like"
     else:
         verdict = "unresolved"
-
-    scale = 2.0 ** resolution
-    dedup = np.unique(np.round(pts * scale) / scale) % 1.0
-    return OrbitProfile(points=dedup, max_gap=max_gap, gap_trend=trend,
+    return OrbitProfile(max_gap=max_gap, gap_trend=trend,
                         periodicity=period, verdict=verdict)
 
 
@@ -226,9 +221,13 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
         raise PeriodicOrbitError(
             q, "rational case; monotone circle-map classification applies, "
                "no semi-conjugacy built")
+    return _semiconjugacy(lift_orbit, x0, n)
 
-    pts = frac(lift_orbit[:n])
-    alpha = birkhoff_from_orbit(lift_orbit, n).value
+
+def _semiconjugacy(orbit: np.ndarray, x0: float, n: int) -> SemiConjugacy:
+    """build_semiconjugacy read from the aperiodic _anchor_orbit of x0."""
+    pts = frac(orbit[:n])
+    alpha = birkhoff_from_orbit(orbit, n).value
     targets_sorted = np.sort(frac(np.arange(n) * alpha))
 
     order = np.argsort(pts)
@@ -246,7 +245,7 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
     d = np.abs(frac(knot_targets[1:]) - frac(knot_targets[:-1] + alpha))
     defect = float(np.max(np.minimum(d, 1.0 - d)))
     h_last = float(_interp_lift(domain, target_inc,
-                                np.asarray(frac(lift_orbit[n]))))
+                                np.asarray(frac(orbit[n]))))
     defect = max(defect, circle_dist(h_last, knot_targets[n - 1] + alpha))
 
     dom_gaps = np.diff(np.concatenate([domain, [domain[0] + 1.0]]))
@@ -288,15 +287,16 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
     if budget < 100:
         raise ValueError(f"budget must be >= 100, got {budget}")
     diffeo = getattr(target_map, "base", target_map)
-    anchor = getattr(target_map, "cantor_anchor", None)
-    if anchor is None:
-        anchor = 0.1234567891
+    anchor = float(getattr(target_map, "cantor_anchor", DEFAULT_ANCHOR))
 
-    try:
-        semi = build_semiconjugacy(diffeo, float(anchor), budget)
-    except PeriodicOrbitError as err:
-        return ConjugacyVerdict("rational-rotation", period=err.period,
-                                detail="closed displacement detected")
+    orbit = _anchor_orbit(diffeo, anchor, budget, min(budget, 1000))
+    profile = _gap_profile(orbit, budget)
+    if profile.periodicity is not None:
+        return ConjugacyVerdict("rational-rotation",
+                                period=profile.periodicity,
+                                detail="closed displacement detected",
+                                profile=profile)
+    semi = _semiconjugacy(orbit, anchor, budget)
 
     for arc, flatness in sorted(semi.plateaus, key=lambda p: -p[0].length):
         quarter = 0.25 * arc.length
@@ -306,9 +306,9 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
             return ConjugacyVerdict(
                 "wandering-interval-found", arc=arc,
                 detail=f"plateau flatness {flatness:.3e}; images disjoint "
-                       f"for 50 steps", semi=semi)
+                       f"for 50 steps", semi=semi, profile=profile)
     detail = ("no plateau at this resolution"
               if not semi.plateaus else "plateaus present but unconfirmed")
     return ConjugacyVerdict("conjugate-evidence",
                             detail=detail + "; scale-limited statement",
-                            semi=semi)
+                            semi=semi, profile=profile)

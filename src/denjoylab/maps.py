@@ -65,6 +65,15 @@ class Arc:
         return float(frac(self.start + 0.5 * self.length))
 
 
+def first_overlap(arcs, tol: float = 0.0) -> tuple[int, int] | None:
+    """First pair (i, j), i < j in row order, of arcs within tol, or None."""
+    for i in range(len(arcs)):
+        for j in range(i + 1, len(arcs)):
+            if arcs[i].intersects(arcs[j], tol=tol):
+                return i, j
+    return None
+
+
 @dataclass(frozen=True)
 class CircleDiffeo:
     """Degree-one circle map given by its lift.

@@ -122,7 +122,10 @@ class TestConjugacyPipeline:
         assert c["kind"] == "wandering-interval-found"
         assert c["plateau_count"] >= 1
 
-    def test_stage_iterates_each_anchor_once(self, monkeypatch):
+    @staticmethod
+    def _orbit_steps(monkeypatch, pipeline="conjugacy", extra=""):
+        """Lengths of the orbits dynamics iterates for one Denjoy N = 50
+        run at budget 1000."""
         steps = []
         real = dynamics.orbit_lift
 
@@ -131,12 +134,22 @@ class TestConjugacyPipeline:
             return real(diffeo, x0, n)
 
         monkeypatch.setattr(dynamics, "orbit_lift", counting)
-        text = CONJ_DENJOY.replace("budget = 400", "budget = 1000").replace(
-            "N = 30", "N = 50")
-        run_experiment(text)
-        # one orbit for the verdict's semi-conjugacy, one for the gap profile
-        assert len(steps) <= 2
-        assert sum(steps) <= 2400
+        text = CONJ_DENJOY.replace("budget = 400", "budget = 1000" + extra)
+        run_experiment(text.replace("N = 30", "N = 50").replace(
+            "pipeline = conjugacy", f"pipeline = {pipeline}"))
+        return steps
+
+    def test_stage_iterates_each_anchor_once(self, monkeypatch):
+        # burn-in 200 plus the period budget 1000, shared by the verdict's
+        # period, semi-conjugacy and gap profile
+        assert self._orbit_steps(monkeypatch) == [1200]
+
+    def test_x0_gap_profile_iterates_its_own_orbit(self, monkeypatch):
+        steps = self._orbit_steps(monkeypatch, extra="\nx0 = 0.3")
+        assert steps == [1200, 1200]
+
+    def test_full_criterion_iterates_each_anchor_once(self, monkeypatch):
+        assert self._orbit_steps(monkeypatch, "full-criterion") == [1200]
 
     def test_x0_moves_only_the_gap_profile(self):
         text = CONJ_DENJOY.replace("budget = 400", "budget = 400\nx0 = 0.3")
@@ -242,6 +255,10 @@ class TestConfigErrors:
         "[experiment]\npipeline = variation\ndepth = 2\n" + RIGID,
         "[experiment]\npipeline = crossratio\ndepth = 0\n" + RIGID,
         "[experiment]\npipeline = combinatorics\ncount = -3\n" + RIGID,
+        "[experiment]\npipeline = rotation\nemit_series = maybe\n" + RIGID,
+        "[experiment]\npipeline = rotation\nmax_seconds = 0\n" + RIGID,
+        "[experiment]\npipeline = rotation\nmax_seconds = -1\n" + RIGID,
+        "[experiment]\npipeline = rotation\nmax_seconds = nan\n" + RIGID,
     ])
     def test_bad_configs_exit_two(self, tmp_path, capsys, text):
         rc, _ = _run(tmp_path, text)

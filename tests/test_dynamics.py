@@ -42,7 +42,7 @@ class TestWanderingVerdict:
 
 class TestOmegaGapProfile:
     def test_irrational_rotation_fills_in(self, golden_rotation):
-        prof = omega_gap_profile(golden_rotation, 0.1, n=800, resolution=30)
+        prof = omega_gap_profile(golden_rotation, 0.1, n=800)
         assert prof.verdict == "dense-like"
         assert prof.max_gap < 8.0 / 800
         # gap trend shrinks as the sample grows
@@ -51,13 +51,13 @@ class TestOmegaGapProfile:
 
     def test_rational_rotation_reports_period(self):
         f = make_map({"kind": "rigid", "alpha": 1.0 / 3.0})
-        prof = omega_gap_profile(f, 0.05, n=300, resolution=20)
+        prof = omega_gap_profile(f, 0.05, n=300)
         assert prof.verdict == "periodic-like"
         assert prof.periodicity == 3
 
     def test_denjoy_leaves_gaps(self, denjoy50):
         prof = omega_gap_profile(denjoy50.base, denjoy50.cantor_anchor,
-                                 n=1000, resolution=30)
+                                 n=1000)
         assert prof.verdict == "Cantor-like"
         assert prof.max_gap > 20.0 / 1000
 
@@ -150,7 +150,7 @@ class TestOneOrbitPerCall:
         assert orbit_calls == [1200]
 
     def test_gap_profile_iterates_once(self, golden_rotation, orbit_calls):
-        omega_gap_profile(golden_rotation, 0.1, n=5000, resolution=30)
+        omega_gap_profile(golden_rotation, 0.1, n=5000)
         assert orbit_calls == [5000]
 
     def test_plateau_free_verdict_iterates_once(self, golden_rotation,
@@ -208,3 +208,19 @@ class TestOneOrbitPerCall:
         v = conjugacy_verdict(make_map(QUARTER), 500)
         assert v.kind == "rational-rotation"
         assert v.semi is None
+
+    def test_verdict_hands_back_its_gap_profile(self, denjoy50,
+                                                golden_rotation, orbit_calls):
+        quarter = make_map(QUARTER)
+        anchor = dynamics.DEFAULT_ANCHOR
+        for target, diffeo, x0, n in (
+                (denjoy50, denjoy50.base, denjoy50.cantor_anchor, 1000),
+                (golden_rotation, golden_rotation, anchor, 2000),
+                (quarter, quarter, anchor, 500)):
+            orbit_calls.clear()
+            v = conjugacy_verdict(target, n)
+            # one anchor orbit per verdict, whatever its kind
+            assert len(orbit_calls) == 1
+            assert v.profile == omega_gap_profile(diffeo, x0, n)
+        assert v.profile.verdict == "periodic-like"
+        assert v.profile.periodicity == v.period == 4

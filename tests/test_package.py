@@ -46,3 +46,29 @@ def test_all_lists_the_public_imports_once_sorted():
     assert len(exported) == len(set(exported))
     assert exported == sorted(exported)
     assert set(exported) == set(imported)
+
+
+def _experiment_keys_read(tree: ast.Module) -> set[str]:
+    """Keys passed as ("experiment", key) to a get* or has_option call."""
+    keys = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and (node.func.attr.startswith("get")
+                     or node.func.attr == "has_option")
+                and len(node.args) >= 2
+                and all(isinstance(a, ast.Constant) for a in node.args[:2])
+                and node.args[0].value == "experiment"):
+            keys.add(node.args[1].value)
+    return keys
+
+
+def test_cli_docstring_documents_every_experiment_key():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    layout = ast.get_docstring(tree).split("[experiment]")[1]
+    layout = layout.split("[map]")[0]
+    documented = {line.split("=")[0].strip() for line in layout.splitlines()
+                  if "=" in line.split(";")[0]}
+    read = _experiment_keys_read(tree)
+    assert {"pipeline", "n", "x0", "max_seconds"} <= read
+    missing = read - documented
+    assert not missing, f"cli reads undocumented [experiment] keys {sorted(missing)}"
