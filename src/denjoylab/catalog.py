@@ -82,6 +82,8 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
     """
     kind = recipe["kind"]
     alpha = float(recipe["alpha"])
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     amplitude = recipe.get("amplitude", 0.0)
     if kind == "rigid":
         return periodic_lift(lambda u: alpha + 0.0 * u,
@@ -89,7 +91,7 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
                              label=f"rigid({alpha:.10g})")
     if kind == "arnold":
         amplitude = float(amplitude)
-        if amplitude < 0.0:
+        if not amplitude >= 0.0:
             raise ValueError(f"amplitude must be non-negative, got {amplitude}")
         if amplitude >= 1.0:
             raise NonMonotoneMapError(
@@ -214,6 +216,8 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
     to cover that interval, which is where the truncation approximates
     the infinite construction.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     alpha = float(frac(alpha))
     if not 0.0 < mass < 1.0:
         raise ValueError(f"mass must lie in (0, 1), got {mass}")

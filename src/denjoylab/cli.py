@@ -350,6 +350,8 @@ def run_experiment(text: str) -> ExperimentReport:
     try:
         if cfg.has_option("experiment", "x0"):
             anchor = cfg.getfloat("experiment", "x0")
+            if not np.isfinite(anchor):
+                raise ValueError(f"x0 must be finite, got {anchor}")
         emit = cfg.getboolean("experiment", "emit_series", fallback=False)
         max_seconds = cfg.getfloat("experiment", "max_seconds",
                                    fallback=np.inf)
@@ -439,8 +441,6 @@ def _cmd_run(args) -> int:
     try:
         reports = [(tag, run_experiment(body))
                    for tag, body in _sweep_configs(text)]
-        written = [_write_outputs(rep, Path(args.out), tag)
-                   for tag, rep in reports]
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return 2
@@ -450,6 +450,12 @@ def _cmd_run(args) -> int:
     except DenjoyLabError as err:
         print(f"experiment failed: {err}", file=sys.stderr)
         return 1
+    try:
+        written = [_write_outputs(rep, Path(args.out), tag)
+                   for tag, rep in reports]
+    except OSError as err:
+        print(f"cannot write reports to {args.out}: {err}", file=sys.stderr)
+        return 2
     for p in written:
         print(p)
     if any(rep.incomplete for _, rep in reports):

@@ -34,6 +34,16 @@ class TestMakeMap:
             make_map({"kind": "parabolic", "alpha": 0.3})
 
     @pytest.mark.parametrize("kind", ["rigid", "arnold"])
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, kind, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            make_map({"kind": kind, "alpha": alpha, "amplitude": 0.5})
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="amplitude must be non-negative"):
+            make_map({"kind": "arnold", "alpha": 0.3, "amplitude": math.nan})
+
+    @pytest.mark.parametrize("kind", ["rigid", "arnold"])
     def test_non_finite_scalar_raises(self, kind):
         # scalars take math.floor, arrays np.floor
         f = make_map({"kind": kind, "alpha": 0.3, "amplitude": 0.5})
@@ -83,6 +93,11 @@ class TestDenjoy:
     def test_rational_alpha_rejected(self):
         with pytest.raises(ValueError):
             make_denjoy(0.5, N=10, mass=0.5)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            make_denjoy(alpha, N=10, mass=0.5)
 
     def test_mass_must_leave_room(self):
         with pytest.raises(ValueError):

@@ -259,6 +259,15 @@ class TestConfigErrors:
         "[experiment]\npipeline = rotation\nmax_seconds = 0\n" + RIGID,
         "[experiment]\npipeline = rotation\nmax_seconds = -1\n" + RIGID,
         "[experiment]\npipeline = rotation\nmax_seconds = nan\n" + RIGID,
+        # non-finite map parameters and start points
+        "[experiment]\npipeline = rotation\n[map]\nkind = rigid\nalpha = inf\n",
+        "[experiment]\npipeline = rotation\n[map]\nkind = rigid\nalpha = nan\n",
+        "[experiment]\npipeline = crossratio\n"
+        "[map]\nkind = rigid\nalpha = nan\n",
+        "[experiment]\npipeline = crossratio\n"
+        "[map]\nkind = arnold\nalpha = 0.3\namplitude = nan\n",
+        "[experiment]\npipeline = rotation\nx0 = inf\n"
+        "[map]\nkind = arnold\nalpha = 0.3\namplitude = 0.5\n",
     ])
     def test_bad_configs_exit_two(self, tmp_path, capsys, text):
         rc, _ = _run(tmp_path, text)
@@ -276,6 +285,17 @@ class TestConfigErrors:
         rc, _ = _run(tmp_path, ROT)
         assert rc == 1
         assert capsys.readouterr().err.startswith("experiment aborted")
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(ROT)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", str(cfg), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write reports to {taken}")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_missing_file(self, tmp_path):
         rc = main(["run", str(tmp_path / "nope.ini"),

@@ -47,10 +47,13 @@ class TestCrossRatios:
         assert cross_ratios(t)[0] == pytest.approx(cross_ratios(u)[0],
                                                    rel=1e-13)
 
-    def test_log_first_ratio_is_double_integral(self):
+    # narrow gaps put x close to c, where 1/(c - x) is steepest
+    @pytest.mark.parametrize("low, high", [(0.05, 0.4), (1e-6, 0.3)],
+                             ids=["wide-gaps", "narrow-gaps"])
+    def test_log_first_ratio_is_double_integral(self, low, high):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            gaps = rng.uniform(0.05, 0.4, size=3)
+            gaps = rng.uniform(low, high, size=3)
             a = rng.uniform(0.0, 0.2)
             pts = a + np.concatenate([[0.0], np.cumsum(gaps)])
             t = FourTuple(*pts)

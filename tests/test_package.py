@@ -1,11 +1,19 @@
-"""Static checks on the package source, using only the stdlib ``ast``."""
+"""Checks on the package source and its import graph.
+
+Most are static and use only the stdlib ``ast``; one imports the CLI in
+a fresh interpreter and lists the third-party packages it loads.
+"""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "denjoylab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+#: top-level packages outside the stdlib that the library may import
+RUNTIME_DEPENDENCIES = {"numpy"}
 
 
 def _imported_names(tree: ast.Module) -> list[str]:
@@ -72,3 +80,31 @@ def test_cli_docstring_documents_every_experiment_key():
     assert {"pipeline", "n", "x0", "max_seconds"} <= read
     missing = read - documented
     assert not missing, f"cli reads undocumented [experiment] keys {sorted(missing)}"
+
+
+@pytest.mark.parametrize("path", [PACKAGE / "__init__.py", *MODULES],
+                         ids=lambda p: p.name)
+def test_imports_only_stdlib_and_numpy(path):
+    """Every absolute import, function bodies included."""
+    tree = ast.parse(path.read_text())
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    foreign = roots - set(sys.stdlib_module_names) - RUNTIME_DEPENDENCIES
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_cli_import_loads_only_numpy():
+    # the snapshot taken first holds what `python -c pass` loads, site
+    # and its .pth hooks included, so only the import itself counts
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import denjoylab.cli\n"
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    added = set(out.split()) - set(sys.stdlib_module_names)
+    assert added == {"denjoylab"} | RUNTIME_DEPENDENCIES
