@@ -28,7 +28,7 @@ from .dynamics import (ConjugacyVerdict, OrbitProfile, SemiConjugacy,
                        WanderingVerdict, build_semiconjugacy,
                        conjugacy_verdict, interval_orbit, omega_gap_profile,
                        wandering_verdict)
-from .errors import (DegenerateTupleError, DenjoyLabError,
+from .errors import (CollapsedArcError, DegenerateTupleError, DenjoyLabError,
                      NonMonotoneMapError, NotDifferentiableError,
                      PeriodicOrbitError, RootFindError,
                      UnresolvedExtremaError)
@@ -47,6 +47,7 @@ __all__ = [
     "Arc",
     "CATALOG_ENTRIES",
     "CircleDiffeo",
+    "CollapsedArcError",
     "ConjugacyVerdict",
     "DegenerateTupleError",
     "DenjoyLabError",

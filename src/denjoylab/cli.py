@@ -90,21 +90,18 @@ class ExperimentReport:
     incomplete: bool = False
     series: dict = field(default_factory=dict)
 
-    def to_dict(self, with_timings: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "schema_version": SCHEMA_VERSION,
             "config_echo": self.config_echo,
             "per_stage": self.per_stage,
             "verdicts": self.verdicts,
             "incomplete": self.incomplete,
+            "timings": self.timings,
         }
-        if with_timings:
-            out["timings"] = self.timings
-        return out
 
-    def to_json(self, with_timings: bool = True) -> str:
-        return json.dumps(self.to_dict(with_timings), sort_keys=True,
-                          indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _parse_config(text: str) -> configparser.ConfigParser:
@@ -366,24 +363,7 @@ def run_experiment(text: str) -> ExperimentReport:
     report.incomplete = elapsed > max_seconds
     if not emit:
         report.series = {}
-    report.per_stage = _plain(report.per_stage)
-    report.verdicts = _plain(report.verdicts)
     return report
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars and tuples for JSON output."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def _write_outputs(report: ExperimentReport, out_dir: Path,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTupleError, NonMonotoneMapError
-from .maps import CircleDiffeo, first_overlap
+from .maps import CircleDiffeo, first_overlap, orbit_lift
 from .util import adaptive_simpson
 from .variation import (_derivative, _qv_resolved, log_derivative_function,
                         zygmund_variation_estimate)
@@ -60,6 +60,11 @@ class FourTuple:
         return np.array([self.a, self.b, self.c, self.d])
 
 
+def _second_ratio(a, b, c, d):
+    """(c-b)(d-a)/((b-a)(d-c)) on floats or elementwise on arrays."""
+    return (c - b) * (d - a) / ((b - a) * (d - c))
+
+
 def cross_ratios(t: FourTuple) -> tuple[float, float]:
     """Both cross ratios of the tuple.
 
@@ -68,8 +73,7 @@ def cross_ratios(t: FourTuple) -> tuple[float, float]:
     """
     a, b, c, d = t._floats()
     first = (d - b) * (c - a) / ((c - b) * (d - a))
-    second = (c - b) * (d - a) / ((b - a) * (d - c))
-    return first, second
+    return first, _second_ratio(a, b, c, d)
 
 
 def log_cr_first_quadrature(t: FourTuple) -> float:
@@ -99,10 +103,8 @@ def distortion_under_map(h, t: FourTuple) -> float:
     Equals 1 for affine and Mobius h; h may be a circle diffeomorphism
     (its lift is used) or any increasing real function.
     """
-    fa, fb, fc, fd = _map_points(h, t.points())
     _, before = cross_ratios(t)
-    after = (fc - fb) * (fd - fa) / ((fb - fa) * (fd - fc))
-    return float(after / before)
+    return float(_second_ratio(*_map_points(h, t.points())) / before)
 
 
 def koebe_log_ratio(h, x: float, y: float) -> float:
@@ -148,7 +150,7 @@ def decompose_ab(h, x: float, y: float) -> DistortionBreakdown:
     """
     log_koebe = koebe_log_ratio(h, x, y)
     logd = log_derivative_function(h, x, y)
-    avg_log = adaptive_simpson(lambda u: logd(u), x, y, tol=QUAD_TOL) / (y - x)
+    avg_log = adaptive_simpson(logd, x, y, tol=QUAD_TOL) / (y - x)
     hx, hy = (float(v) for v in _map_points(h, np.array([x, y])))
     log_quotient = math.log((hy - hx) / (y - x))
     term_a = float(logd(x)) + float(logd(y)) - 2.0 * avg_log
@@ -222,17 +224,11 @@ def iterate_distortion_bound(h: CircleDiffeo, n: int, t: FourTuple,
         raise ValueError("tuple must lie inside arcs[0]")
 
     x, y = t.a, t.d
-    xs = [x]
-    ys = [y]
-    for _ in range(n):
-        xs.append(h.lift(xs[-1]))
-        ys.append(h.lift(ys[-1]))
-
+    xs = orbit_lift(h, x, n)
+    ys = orbit_lift(h, y, n)
     measured = 0.0
     for i in range(n):
-        dx, dy = float(h.derivative(xs[i])), float(h.derivative(ys[i]))
-        quotient = (ys[i + 1] - xs[i + 1]) / (ys[i] - xs[i])
-        measured += math.log(dx) + math.log(dy) - 2.0 * math.log(quotient)
+        measured += koebe_log_ratio(h, xs[i], ys[i])
     direct = (sum(math.log(float(h.derivative(xs[i]))) for i in range(n))
               + sum(math.log(float(h.derivative(ys[i]))) for i in range(n))
               - 2.0 * math.log((ys[n] - xs[n]) / (y - x)))
@@ -280,8 +276,7 @@ def crd_variation_estimate(f: CircleDiffeo, partition_depth: int) -> float:
             b = a + u * length
             c = a + v * length
             fb, fc = f.lift(b), f.lift(c)
-            before = (c - b) * (d - a) / ((b - a) * (d - c))
-            after = (fc - fb) * (fd - fa) / ((fb - fa) * (fd - fc))
-            np.maximum(cell_best, np.log(after / before), out=cell_best)
+            ratio = _second_ratio(fa, fb, fc, fd) / _second_ratio(a, b, c, d)
+            np.maximum(cell_best, np.log(ratio), out=cell_best)
         best = max(best, float(np.sum(cell_best)))
     return best

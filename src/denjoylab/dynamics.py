@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PeriodicOrbitError
+from .errors import CollapsedArcError, PeriodicOrbitError
 from .maps import Arc, CircleDiffeo, arc_image, first_overlap, orbit_lift
 from .rotation import PERIOD_TOL, birkhoff_from_orbit
 from .util import circle_dist, frac
@@ -31,6 +31,9 @@ CANTOR_GAP_FACTOR = 20.0
 STABLE_RTOL = 0.05
 #: start point used when a map carries no distinguished anchor
 DEFAULT_ANCHOR = 0.1234567891
+#: gap within which two scanned images overlap, and length at or below
+#: which an image has contracted, in wandering_verdict
+WANDERING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -138,23 +141,31 @@ def interval_orbit(diffeo: CircleDiffeo, arc: Arc, n: int) -> list[Arc]:
     return out
 
 
-def wandering_verdict(diffeo: CircleDiffeo, arc: Arc, n: int,
-                      tol: float) -> WanderingVerdict:
+def wandering_verdict(diffeo: CircleDiffeo, arc: Arc,
+                      n: int) -> WanderingVerdict:
     """Scan the arc and its first n images for pairwise disjointness.
 
-    All separated by more than tol reads wandering-up-to-n.  Otherwise,
-    images shrunk below tol with no detected period read contracted
-    (shrinking without closing certifies wandering at the sampled scale);
-    any other clash reports the first overlapping index pair.
+    All separated by more than ``WANDERING_TOL`` reads wandering-up-to-n.
+    Otherwise, images shrunk to ``WANDERING_TOL`` or below with no
+    detected period read contracted (shrinking without closing certifies
+    wandering at the sampled scale); any other clash reports the first
+    overlapping index pair.  An image that collapses below floating-point
+    resolution ends the scan: the images before it are judged, with
+    ``min_length`` 0.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    images = [arc] + interval_orbit(diffeo, arc, n)
-    first_clash = first_overlap(images, tol)
-    min_length = min(a.length for a in images)
+    images = [arc]
+    try:
+        for _ in range(n):
+            images.append(arc_image(diffeo, images[-1]))
+        min_length = min(a.length for a in images)
+    except CollapsedArcError:
+        min_length = 0.0
+    first_clash = first_overlap(images, WANDERING_TOL)
     if first_clash is None:
         return WanderingVerdict("wandering-up-to-n", min_length=min_length)
-    if (min_length <= tol
+    if (min_length <= WANDERING_TOL
             and _detect_period(_anchor_orbit(diffeo, arc.start, n, n), n) is None):
         return WanderingVerdict("contracted", min_length=min_length)
     return WanderingVerdict("overlap-at", pair=first_clash, min_length=min_length)
@@ -301,7 +312,7 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
     for arc, flatness in sorted(semi.plateaus, key=lambda p: -p[0].length):
         quarter = 0.25 * arc.length
         middle = Arc(arc.start + quarter, arc.start + 3.0 * quarter)
-        probe = wandering_verdict(diffeo, middle, n=50, tol=1e-12)
+        probe = wandering_verdict(diffeo, middle, n=50)
         if probe.kind in ("wandering-up-to-n", "contracted"):
             return ConjugacyVerdict(
                 "wandering-interval-found", arc=arc,

@@ -27,6 +27,11 @@ class NonMonotoneMapError(DenjoyLabError):
     """A map reversed the order of the points it was applied to."""
 
 
+class CollapsedArcError(DenjoyLabError, ValueError):
+    """An arc's image shrank below floating-point resolution: the lift
+    endpoints of the image no longer strictly increase."""
+
+
 class PeriodicOrbitError(DenjoyLabError):
     """A periodic orbit was detected where an irrational rotation was required."""
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotDifferentiableError, RootFindError
+from .errors import CollapsedArcError, NotDifferentiableError, RootFindError
 from .util import adaptive_simpson, frac
 
 #: bisection target of inverse evaluation (a Newton polish usually lands
@@ -22,6 +22,8 @@ from .util import adaptive_simpson, frac
 ROOT_TOL = 1e-10
 #: default grid size for lift validation
 VALIDATE_GRID = 10_000
+#: largest periodicity, monotonicity and increment defect a valid lift may show
+VALIDATE_TOL = 1e-8
 #: adaptive-Simpson target for the per-cell integrals of lift validation
 VALIDATE_QUAD_TOL = 1e-12
 #: argument types that periodic_lift and the Denjoy lift evaluate on plain floats
@@ -203,9 +205,17 @@ def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
 
 
 def arc_image(diffeo: CircleDiffeo, arc: Arc) -> Arc:
-    """Image of a closed arc under the circle map."""
-    return Arc(float(frac(diffeo.lift_eval(arc.start))),
-               float(frac(diffeo.lift_eval(arc.start + arc.length))))
+    """Image of a closed arc under the circle map.
+
+    CollapsedArcError when the image's lift endpoints do not strictly
+    increase: reduced mod 1 they would give an empty or a near-full arc.
+    """
+    lo = diffeo.lift_eval(arc.start)
+    hi = diffeo.lift_eval(arc.start + arc.length)
+    if hi <= lo:
+        raise CollapsedArcError(
+            f"image of {arc} collapsed: lift endpoints {lo!r}, {hi!r}")
+    return Arc(float(frac(lo)), float(frac(hi)))
 
 
 @dataclass(frozen=True)
@@ -213,11 +223,10 @@ class LiftValidationReport:
     """Grid-check summary for a claimed lift.
 
     Defects are worst-case absolute violations over the grid; ``passed``
-    means every defect is within the requested tolerance.
+    means every defect is within ``VALIDATE_TOL``.
     """
 
     grid_size: int
-    tol: float
     periodicity_defect: float
     monotonicity_defect: float
     derivative_min: float | None
@@ -225,17 +234,17 @@ class LiftValidationReport:
 
     @property
     def passed(self) -> bool:
-        ok = (self.periodicity_defect <= self.tol
-              and self.monotonicity_defect <= self.tol)
+        ok = (self.periodicity_defect <= VALIDATE_TOL
+              and self.monotonicity_defect <= VALIDATE_TOL)
         if self.derivative_min is not None:
             ok = ok and self.derivative_min > 0.0
         if self.increment_defect is not None:
-            ok = ok and self.increment_defect <= self.tol
+            ok = ok and self.increment_defect <= VALIDATE_TOL
         return ok
 
 
-def validate_lift(diffeo: CircleDiffeo, grid_size: int = VALIDATE_GRID,
-                  tol: float = 1e-8) -> LiftValidationReport:
+def validate_lift(diffeo: CircleDiffeo,
+                  grid_size: int = VALIDATE_GRID) -> LiftValidationReport:
     """Check periodicity, monotonicity and derivative consistency on a grid.
 
     The derivative/increment check integrates F' over each grid cell with
@@ -264,7 +273,6 @@ def validate_lift(diffeo: CircleDiffeo, grid_size: int = VALIDATE_GRID,
 
     return LiftValidationReport(
         grid_size=grid_size,
-        tol=tol,
         periodicity_defect=periodicity,
         monotonicity_defect=monotonicity,
         derivative_min=derivative_min,

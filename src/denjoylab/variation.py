@@ -64,22 +64,17 @@ def zygmund_variation_estimate(f: IntervalFunction, depth: int) -> float:
     return float(dp[-1])
 
 
-def _monotone_runs(diffs: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal constant-direction runs [start, end) over the increment
-    array; zero increments extend whichever run is open."""
-    runs: list[tuple[int, int]] = []
-    direction = 0
-    start = 0
-    for i, d in enumerate(diffs):
-        s = 0 if d == 0.0 else (1 if d > 0.0 else -1)
-        if s == 0 or s == direction:
-            continue
-        if direction != 0:
-            runs.append((start, i))
-            start = i
-        direction = s
-    runs.append((start, diffs.size))
-    return runs
+def _extrema(diffs: np.ndarray) -> np.ndarray:
+    """Sample indices of the extrema: both ends and every turn.
+
+    A turn is a nonzero increment whose direction differs from the
+    previous nonzero one; zero increments extend the open run, and any
+    increment that is neither positive nor zero (NaN included) falls.
+    """
+    moving = np.flatnonzero(diffs != 0.0)
+    rising = diffs[moving] > 0.0
+    turns = moving[1:][rising[1:] != rising[:-1]]
+    return np.concatenate(([0], turns, [diffs.size]))
 
 
 def quadratic_variation(f: IntervalFunction, resolution: int) -> float:
@@ -99,12 +94,12 @@ def quadratic_variation(f: IntervalFunction, resolution: int) -> float:
     lo, hi = f.domain
     grid = dyadic_grid(lo, hi, resolution)
     vals = np.asarray(f.eval(grid), dtype=float)
-    diffs = np.diff(vals)
-    runs = _monotone_runs(diffs)
-    for start, end in runs:
-        if end - start == 1 and start > 0 and end < diffs.size:
-            raise UnresolvedExtremaError((float(grid[start]), float(grid[end])))
-    ext = vals[[runs[0][0]] + [end for _, end in runs]]
+    idx = _extrema(np.diff(vals))
+    close = np.flatnonzero(np.diff(idx[1:-1]) == 1)
+    if close.size:
+        start = idx[1 + close[0]]
+        raise UnresolvedExtremaError((float(grid[start]), float(grid[start + 1])))
+    ext = vals[idx]
     best = np.zeros(ext.size)
     for j in range(1, ext.size):
         best[j] = np.max(best[:j] + (ext[j] - ext[:j]) ** 2)
@@ -229,10 +224,12 @@ def classify_regularity(f: IntervalFunction, depth: int) -> VariationReport:
         raise ValueError(f"depth must be >= 4, got {depth}")
     probes = probe_depths(depth)
 
+    profile = zygmund_norm_profile(f, depth)
     trends = {
         "tv": [total_variation_estimate(f, d) for d in probes],
         "zv": [zygmund_variation_estimate(f, min(d, MAX_ZV_DEPTH)) for d in probes],
-        "zyg_norm": [zygmund_norm_estimate(f, d) for d in probes],
+        # scale k of the profile does not depend on how many scales are taken
+        "zyg_norm": [float(np.max(profile[:d])) for d in probes],
     }
     qv = _qv_resolved(f, depth)
 

@@ -2,6 +2,8 @@
 
 Every oracle enumerates subsets of a small sample grid directly, with no
 shared code path into the package, so agreement is meaningful evidence.
+``qv_scan_reference`` is the quadratic variation's former one-increment-
+at-a-time extrema scan, kept as the reference for the array version.
 """
 from itertools import combinations
 
@@ -52,3 +54,37 @@ def zv_oracle(f, grid):
             total += abs(vals[i] + vals[j] - 2.0 * float(f.eval(mid)))
         best = max(best, total)
     return best
+
+
+def monotone_runs(diffs):
+    """Maximal constant-direction runs [start, end) over the increment
+    array; zero increments extend whichever run is open, and an increment
+    neither positive nor zero (NaN) falls."""
+    runs = []
+    direction = 0
+    start = 0
+    for i, d in enumerate(diffs):
+        s = 0 if d == 0.0 else (1 if d > 0.0 else -1)
+        if s == 0 or s == direction:
+            continue
+        if direction != 0:
+            runs.append((start, i))
+            start = i
+        direction = s
+    runs.append((start, len(diffs)))
+    return runs
+
+
+def qv_scan_reference(values, grid):
+    """Quadratic variation of the samples over their scanned extrema, or
+    the cell (lo, hi) of the first interior run one cell long."""
+    values = np.asarray(values, dtype=float)
+    runs = monotone_runs(np.diff(values))
+    for start, end in runs:
+        if end - start == 1 and start > 0 and end < values.size - 1:
+            return float(grid[start]), float(grid[end])
+    ext = values[[runs[0][0]] + [end for _, end in runs]]
+    best = np.zeros(ext.size)
+    for j in range(1, ext.size):
+        best[j] = np.max(best[:j] + (ext[j] - ext[:j]) ** 2)
+    return float(best[-1])

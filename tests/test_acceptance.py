@@ -177,14 +177,13 @@ def test_criterion_05_estimators_match_exhaustive_partition_search():
 def test_criterion_06_denjoy_pipeline(denjoy50):
     t0 = time.monotonic()
     n = 1000
-    report = validate_lift(denjoy50.base, grid_size=2048, tol=1e-8)
+    report = validate_lift(denjoy50.base, grid_size=2048)
     assert report.periodicity_defect <= 1e-8
     assert report.monotonicity_defect == 0.0
     assert report.increment_defect <= 1e-8
     assert report.derivative_min > 0.0
 
-    verdict = wandering_verdict(denjoy50.base, denjoy50.wandering_arc, 50,
-                                tol=1e-12)
+    verdict = wandering_verdict(denjoy50.base, denjoy50.wandering_arc, 50)
     assert verdict.kind == "wandering-up-to-n"
     assert verdict.min_length > 0.0
 

@@ -74,9 +74,10 @@ class TestRotationPipeline:
         assert len(csv) > 10
 
     def test_reports_are_deterministic(self):
-        a = run_experiment(ROT)
-        b = run_experiment(ROT)
-        assert a.to_json(with_timings=False) == b.to_json(with_timings=False)
+        a = run_experiment(ROT).to_dict()
+        b = run_experiment(ROT).to_dict()
+        del a["timings"], b["timings"]
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_stage_iterates_one_orbit(self, monkeypatch):
         steps = []
@@ -317,6 +318,35 @@ class TestConfigErrors:
                 "[map]\nkind = arnold\nalpha = 0.3\namplitude = oops\n")
         rc, _ = _run(tmp_path, text)
         assert rc == 2
+
+
+MAPS = {
+    "rigid": "kind = rigid\nalpha = 0.618",
+    "arnold": "kind = arnold\nalpha = 0.41\namplitude = 0.6",
+    "denjoy": "kind = denjoy\nalpha = 0.41421356237309515\nN = 30",
+}
+PLAIN_TYPES = {dict, list, str, int, float, bool, type(None)}
+
+
+def _value_types(obj):
+    yield type(obj)
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from _value_types(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _value_types(v)
+
+
+@pytest.mark.parametrize("kind", sorted(MAPS))
+@pytest.mark.parametrize("pipeline", cli.PIPELINES)
+def test_report_values_are_plain_python(pipeline, kind):
+    # per_stage and verdicts go to JSON as built: no numpy scalar, no tuple
+    text = (f"[experiment]\npipeline = {pipeline}\nn = 300\nbudget = 300\n"
+            f"count = 20\n\n[map]\n{MAPS[kind]}\n")
+    report = run_experiment(text)
+    types = set(_value_types([report.per_stage, report.verdicts]))
+    assert types <= PLAIN_TYPES, types - PLAIN_TYPES
 
 
 class TestBudgetFlag:

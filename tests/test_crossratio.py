@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from denjoylab import (Arc, DegenerateTupleError, FourTuple, IntervalFunction,
                        arc_image, compose, crd_variation_estimate,
                        cross_ratios, decompose_ab, delta_and_bound,
-                       distortion_under_map, iterate_distortion_bound,
-                       koebe_log_ratio, log_cr_first_quadrature, make_map,
-                       term_b_constant)
+                       distortion_under_map, interval_orbit,
+                       iterate_distortion_bound, koebe_log_ratio,
+                       log_cr_first_quadrature, make_map, term_b_constant)
 
 TWO_MINUS_TWO_LOG2 = 2.0 * (1.0 - math.log(2.0))
 
@@ -161,6 +161,26 @@ class TestIterateBound:
         g = compose(compose(f, f), compose(f, f))
         assert measured == pytest.approx(koebe_log_ratio(g, t.a, t.d),
                                          abs=1e-8)
+
+    def test_measured_equals_the_per_step_loop(self, denjoy50):
+        # criterion 09 shape, against the hand-rolled orbit and Koebe sum
+        base, home = denjoy50.base, denjoy50.wandering_arc
+        s, width = home.start, home.length
+        t = FourTuple(s + 0.2 * width, s + 0.4 * width,
+                      s + 0.6 * width, s + 0.8 * width)
+        arcs = [home] + interval_orbit(base, home, 29)
+        measured, _ = iterate_distortion_bound(base, 30, t, arcs)
+        xs, ys = [t.a], [t.d]
+        for _ in range(30):
+            xs.append(base.lift(xs[-1]))
+            ys.append(base.lift(ys[-1]))
+        expected = 0.0
+        for i in range(30):
+            dx = float(base.derivative(xs[i]))
+            dy = float(base.derivative(ys[i]))
+            quotient = (ys[i + 1] - xs[i + 1]) / (ys[i] - xs[i])
+            expected += math.log(dx) + math.log(dy) - 2.0 * math.log(quotient)
+        assert measured == expected
 
     def test_overlapping_arcs_rejected(self, golden_rotation):
         t = FourTuple(0.0, 0.01, 0.02, 0.03)

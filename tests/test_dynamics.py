@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from denjoylab import (Arc, PeriodicOrbitError, birkhoff_estimate,
-                       build_semiconjugacy, conjugacy_verdict, dynamics,
-                       interval_orbit, make_map, omega_gap_profile,
-                       orbit_lift, wandering_verdict)
+from denjoylab import (Arc, CollapsedArcError, PeriodicOrbitError, arc_image,
+                       birkhoff_estimate, build_semiconjugacy,
+                       conjugacy_verdict, dynamics, interval_orbit, make_map,
+                       omega_gap_profile, orbit_lift, wandering_verdict)
 from denjoylab.dynamics import PLATEAU_DOMAIN_FACTOR, PLATEAU_TARGET_FACTOR
+from denjoylab.maps import first_overlap
 from denjoylab.util import circle_dist, frac
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -27,17 +28,31 @@ class TestIntervalOrbit:
 class TestWanderingVerdict:
     def test_disjoint_until_the_circle_fills(self):
         f = make_map(QUARTER)
-        ok = wandering_verdict(f, Arc(0.0, 0.1), 3, tol=1e-12)
+        ok = wandering_verdict(f, Arc(0.0, 0.1), 3)
         assert ok.kind == "wandering-up-to-n"
-        clash = wandering_verdict(f, Arc(0.0, 0.1), 4, tol=1e-12)
+        clash = wandering_verdict(f, Arc(0.0, 0.1), 4)
         assert clash.kind == "overlap-at"
         assert clash.pair == (0, 4)
 
     def test_denjoy_images_stay_disjoint(self, denjoy50):
-        v = wandering_verdict(denjoy50.base, denjoy50.wandering_arc, 50,
-                              tol=1e-12)
+        v = wandering_verdict(denjoy50.base, denjoy50.wandering_arc, 50)
         assert v.kind == "wandering-up-to-n"
         assert v.min_length > 0.0
+
+    def test_scan_stops_at_a_collapsed_image(self):
+        # a contracting Arnold map with a fixed point: image 21 of the arc
+        # has lift endpoints one ulp apart in the wrong order
+        f = make_map({"kind": "arnold", "alpha": 0.04875771072716806,
+                      "amplitude": 0.8992585035585643})
+        assert conjugacy_verdict(f, 1000).period == 1
+        arc = Arc(0.1, 0.101)
+        images = [arc] + interval_orbit(f, arc, 20)
+        with pytest.raises(CollapsedArcError):
+            arc_image(f, images[-1])
+        v = wandering_verdict(f, arc, 50)
+        assert v.kind == "overlap-at"
+        assert v.pair == first_overlap(images, dynamics.WANDERING_TOL)
+        assert v.min_length == 0.0
 
 
 class TestOmegaGapProfile:

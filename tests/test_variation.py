@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from _partition_oracles import qv_oracle, tv_oracle, zv_oracle
+from _partition_oracles import (monotone_runs, qv_oracle, qv_scan_reference,
+                                tv_oracle, zv_oracle)
 from denjoylab import (IntervalFunction, NotDifferentiableError,
                        UnresolvedExtremaError, classify_regularity,
                        example_function, make_map, quadratic_variation)
 from denjoylab.util import dyadic_grid
-from denjoylab.variation import (log_derivative_function,
-                                 total_variation_estimate,
+from denjoylab.variation import (_extrema, log_derivative_function,
+                                 probe_depths, total_variation_estimate,
                                  zygmund_norm_estimate, zygmund_norm_profile,
                                  zygmund_variation_estimate)
 
@@ -93,6 +95,23 @@ class TestQuadraticVariation:
         with pytest.raises(UnresolvedExtremaError):
             quadratic_variation(dip, 3)
 
+    # few distinct values, so repeats, flat steps and NaN runs are common
+    @given(st.integers(1, 6).flatmap(lambda r: st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.nan])
+        | st.floats(-2.0, 2.0), min_size=2**r + 1, max_size=2**r + 1)))
+    def test_extrema_match_the_scan(self, values):
+        vals = np.array(values)
+        runs = monotone_runs(np.diff(vals))
+        assert _extrema(np.diff(vals)).tolist() == [0] + [e for _, e in runs]
+        resolution = int(math.log2(vals.size - 1))
+        try:
+            got = quadratic_variation(_fn(lambda x: vals, "samples"),
+                                      resolution)
+        except UnresolvedExtremaError as err:
+            got = err.cell
+        assert repr(got) == repr(qv_scan_reference(
+            vals, dyadic_grid(0.0, 1.0, resolution)))
+
     def test_third_example_partial_sums(self):
         for d in (4, 8, 12):
             f = example_function("ex3", d)
@@ -153,6 +172,13 @@ class TestClassifyRegularity:
         rep = classify_regularity(example_function("ex3", 8), 8)
         assert rep.qv == pytest.approx(sum(2.0 / n**2 for n in range(1, 9)))
         assert rep.diverging["zv"] is True
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "denjoy"])
+    def test_zyg_norm_trend_reads_one_profile(self, name, denjoy50):
+        f = (log_derivative_function(denjoy50.base) if name == "denjoy"
+             else example_function(name, 12))
+        assert classify_regularity(f, 12).trends["zyg_norm"] == tuple(
+            zygmund_norm_estimate(f, d) for d in probe_depths(12))
 
     def test_checks_hold_for_smooth_input(self):
         rep = classify_regularity(SQUARE, 6)
