@@ -17,9 +17,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import NonMonotoneMapError, RootFindError
+from .errors import NonMonotoneMapError
 from .maps import SCALAR_TYPES, Arc, CircleDiffeo, periodic_lift
-from .util import continued_fraction, frac
+from .util import continued_fraction, frac, solve_increasing
 
 TWO_PI = 2.0 * math.pi
 
@@ -173,34 +173,6 @@ def _assert_irrational(alpha: float, N: int) -> None:
         f"alpha {alpha!r} resolves to a rational with denominator <= {window}")
 
 
-def _solve_piece(r1: float, t: float) -> float:
-    """The s in [0, 1] with s + r1 (3 - 2 s) s^2 = t.
-
-    Newton's method kept inside a shrinking bracket, falling back to
-    bisection when a step leaves it.  The derivative
-    1 + 6 r1 s (1 - s) stays positive because the piece ratio r1 + 1
-    exceeds ``MIN_PIECE_RATIO``.  A target outside [0, r1 + 1], which
-    only rounding produces, yields the nearer end of [0, 1].
-    """
-    lo, hi = 0.0, 1.0
-    s = min(max(t / (r1 + 1.0), 0.0), 1.0)
-    for _ in range(100):
-        f = s + r1 * (3.0 - 2.0 * s) * s * s - t
-        if f == 0.0:
-            return s
-        if f > 0.0:
-            hi = s
-        else:
-            lo = s
-        nxt = s - f / (1.0 + 6.0 * r1 * s * (1.0 - s))
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - s) <= 2.0 ** -53:
-            return nxt
-        s = nxt
-    raise RootFindError(f"piece inverse did not converge for r - 1 = {r1!r}, t = {t!r}")
-
-
 def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
     """Build a truncated wandering-interval diffeomorphism.
 
@@ -251,39 +223,25 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
         """Circle position of angle t under the insertion-marking correspondence."""
         return (1.0 - mass) * t + cum_list[bisect_left(theta_list, t)]
 
-    # start position / length per signed index
     start_by_index = np.empty(2 * N + 1)
     start_by_index[order] = start_sorted
-    length_by_index = lengths
 
+    # insertion n maps onto insertion n + 1, and insertion N onto a slot
+    # of length ell' centred on the dust position of angle (N + 1) alpha;
+    # both arrays in position order, like start_sorted
     ell_prime = mass * c0 / (N + 3.0) ** 2
     p_star = dust_position(theta_extra)
+    img_start = np.append(start_by_index[1:], p_star - 0.5 * ell_prime)[order]
+    img_len = np.append(lengths[1:], ell_prime)[order]
 
-    def image_start(n: int) -> float:
-        if n < N:
-            return start_by_index[n + 1 + N]
-        return p_star - 0.5 * ell_prime
-
-    def image_length(n: int) -> float:
-        if n < N:
-            return length_by_index[n + 1 + N]
-        return ell_prime
-
-    # piece list around the circle, cut at the first insertion start:
-    # insertion, dust, insertion, dust, ... (2N+1 of each)
-    m_pieces = 2 * (2 * N + 1)
-    src_knots = np.empty(m_pieces + 1)
-    img_lens = np.empty(m_pieces)
-    signed_sorted = idx[order]
-    for r in range(2 * N + 1):
-        n_here = int(signed_sorted[r])
-        n_next = int(signed_sorted[(r + 1) % (2 * N + 1)])
-        src_knots[2 * r] = start_sorted[r]
-        src_knots[2 * r + 1] = start_sorted[r] + len_sorted[r]
-        img_lens[2 * r] = image_length(n_here)
-        end_here = frac(image_start(n_here) + image_length(n_here))
-        img_lens[2 * r + 1] = float(frac(image_start(n_next) - end_here))
-    src_knots[m_pieces] = start_sorted[0] + 1.0
+    # piece table around the circle, cut at the first insertion start:
+    # insertion, dust, insertion, dust, ... (2N+1 of each); a dust piece
+    # maps onto the gap up to the next insertion's image
+    src_knots = np.append(
+        np.column_stack([start_sorted, start_sorted + len_sorted]).ravel(),
+        start_sorted[0] + 1.0)
+    img_gap = frac(np.roll(img_start, -1) - frac(img_start + img_len))
+    img_lens = np.column_stack([img_len, img_gap]).ravel()
 
     img_lens[-1] += 1.0 - float(np.sum(img_lens))        # close the circle exactly
     # after closing, so that an overlapping tiling (sum above 1) shows here
@@ -293,11 +251,10 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
     src_lens = np.diff(src_knots)
     ratios = img_lens / src_lens
     _profile_ratio_guard(ratios)
-    img_knots = float(image_start(int(signed_sorted[0]))) + np.concatenate(
-        [[0.0], np.cumsum(img_lens)])
+    img_knots = float(img_start[0]) + np.concatenate([[0.0], np.cumsum(img_lens)])
 
     cut = float(src_knots[0])
-    last = m_pieces - 1
+    last = img_lens.size - 1
     # plain-float copies for the scalar paths, which repeat the array
     # arithmetic below operation for operation and so agree bit for bit
     knots, lens, rats, imgs = (a.tolist() for a in
@@ -344,19 +301,34 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
         k = math.floor(y - img0)
         v = y - k
         j = min(max(bisect_right(imgs, v) - 1, 0), last)
-        return knots[j] + lens[j] * _solve_piece(rats[j] - 1.0,
-                                                 (v - imgs[j]) / lens[j]) + k
+        r1 = rats[j] - 1.0
+        t = (v - imgs[j]) / lens[j]
+
+        def g(s):
+            return s + r1 * (3.0 - 2.0 * s) * s * s
+
+        def dg(s):
+            # positive, since the piece ratio r1 + 1 exceeds MIN_PIECE_RATIO
+            return 1.0 + 6.0 * r1 * s * (1.0 - s)
+
+        # a t outside [0, r1 + 1], which only rounding produces, yields
+        # the nearer end of [0, 1]
+        s = solve_increasing(g, dg, t, 0.0, 1.0, min(max(t / (r1 + 1.0), 0.0), 1.0))
+        return knots[j] + lens[j] * s + k
+
+    def in_insertion(x: float) -> bool:
+        """Whether the lift's piece at x is an insertion (an even piece)."""
+        j = bisect_right(knots, x - math.floor(x - cut)) - 1
+        return min(max(j, 0), last) % 2 == 0
 
     base = CircleDiffeo(lift_eval=lift, lift_derivative=lift_derivative,
                         lift_inverse=lift_inverse,
                         label=f"denjoy({alpha:.6g}, N={N}, mass={mass:g})")
 
-    insertion_arcs = tuple(
-        Arc(float(start_by_index[n + N]),
-            float(start_by_index[n + N] + length_by_index[n + N]))
-        for n in range(-N, N + 1))
+    insertion_arcs = tuple(Arc(start, end) for start, end in zip(
+        start_by_index.tolist(), (start_by_index + lengths).tolist()))
     anchor_budget = 1100
-    anchor = _find_dust_anchor(base, insertion_arcs, dust_position, anchor_budget)
+    anchor = _find_dust_anchor(base, in_insertion, dust_position, anchor_budget)
 
     return DenjoyMap(
         base=base,
@@ -370,23 +342,16 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
     )
 
 
-def _find_dust_anchor(base: CircleDiffeo, insertion_arcs: tuple[Arc, ...],
+def _find_dust_anchor(base: CircleDiffeo, in_insertion: Callable[[float], bool],
                       dust_position: Callable[[float], float],
                       budget: int) -> float:
     """A dust point whose orbit avoids every insertion for ``budget`` steps.
 
     The truncation makes one dust stretch spill into the lowest-index
     insertion, so a random dust point can be swallowed by the insertion
-    chain; candidates are therefore screened by direct simulation.
+    chain; candidates are therefore screened by direct simulation, each
+    dropped at its first step into an insertion.
     """
-    ordered = sorted(insertion_arcs, key=lambda a: a.start)
-    starts = [a.start for a in ordered]
-    spans = [a.length for a in ordered]
-
-    def in_insertion(pos: float) -> bool:
-        k = bisect_right(starts, pos) - 1
-        return k >= 0 and pos <= starts[k] + spans[k]
-
     seed = 0.5 * (math.sqrt(5.0) - 1.0)
     for j in range(40):
         t = float(frac(0.1234567 + seed * j))
@@ -396,7 +361,7 @@ def _find_dust_anchor(base: CircleDiffeo, insertion_arcs: tuple[Arc, ...],
         z, ok = x, True
         for _ in range(budget):
             z = base.lift_eval(z)
-            if in_insertion(float(frac(z))):
+            if in_insertion(z):
                 ok = False
                 break
         if ok:

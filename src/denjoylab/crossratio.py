@@ -115,10 +115,17 @@ def koebe_log_ratio(h, x: float, y: float) -> float:
     """
     if not x < y:
         raise ValueError(f"need x < y, got {x}, {y}")
+    hx, hy = (float(v) for v in _map_points(h, np.array([x, y])))
+    return _koebe_log_ratio(h, x, y, hx, hy)
+
+
+def _koebe_log_ratio(h, x: float, y: float, hx: float, hy: float) -> float:
+    """koebe_log_ratio on x < y from the images hx = h(x) and hy = h(y)."""
     dx, dy = float(_derivative(h, x)), float(_derivative(h, y))
     if dx <= 0.0 or dy <= 0.0:
         raise ValueError(f"derivative must be positive, got {dx}, {dy}")
-    hx, hy = (float(v) for v in _map_points(h, np.array([x, y])))
+    if not hx < hy:
+        raise NonMonotoneMapError(f"map is not increasing on {(x, y)}")
     quotient = (hy - hx) / (y - x)
     return math.log(dx) + math.log(dy) - 2.0 * math.log(quotient)
 
@@ -228,7 +235,7 @@ def iterate_distortion_bound(h: CircleDiffeo, n: int, t: FourTuple,
     ys = orbit_lift(h, y, n)
     measured = 0.0
     for i in range(n):
-        measured += koebe_log_ratio(h, xs[i], ys[i])
+        measured += _koebe_log_ratio(h, xs[i], ys[i], xs[i + 1], ys[i + 1])
     direct = (sum(math.log(float(h.derivative(xs[i]))) for i in range(n))
               + sum(math.log(float(h.derivative(ys[i]))) for i in range(n))
               - 2.0 * math.log((ys[n] - xs[n]) / (y - x)))

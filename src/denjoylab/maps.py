@@ -15,11 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CollapsedArcError, NotDifferentiableError, RootFindError
-from .util import adaptive_simpson, frac
+from .util import adaptive_simpson, frac, solve_increasing
 
-#: bisection target of inverse evaluation (a Newton polish usually lands
-#: far below this when a derivative is available)
-ROOT_TOL = 1e-10
 #: default grid size for lift validation
 VALIDATE_GRID = 10_000
 #: largest periodicity, monotonicity and increment defect a valid lift may show
@@ -85,8 +82,8 @@ class CircleDiffeo:
         lift_derivative: F' when the map is C1, else None.
         label: human-readable tag used in reports.
         lift_inverse: a closed-form F^{-1} on floats, or None to let
-            ``inverse_eval`` solve by bisection.  It must invert
-            ``lift_eval``: ``dataclasses.replace`` of ``lift_eval`` alone is
+            ``inverse_eval`` solve F(x) = y with ``util.solve_increasing``.
+            It must invert ``lift_eval``: ``dataclasses.replace`` of ``lift_eval`` alone is
             valid only for a wrapper of the same function (one that counts
             or times calls, say); a new lift also needs a new
             ``lift_inverse`` or None.
@@ -113,15 +110,17 @@ def periodic_lift(displacement: Callable, displacement_derivative: Callable | No
     Evaluating g on the fractional part makes F(x + 1) = F(x) + 1 hold to
     the last bit, not merely to rounding of a transcendental argument.
     A scalar x (any of ``SCALAR_TYPES``) takes its fractional part with
-    ``math.floor`` and hands g a plain float; g must then repeat its array
-    arithmetic operation for operation, so both paths agree bit for bit.
+    ``math.floor``, mapping 1.0 to 0.0 as ``frac`` does, and hands g a
+    plain float; g must then repeat its array arithmetic operation for
+    operation, so both paths agree bit for bit.
     A NaN or infinite scalar therefore raises from ``math.floor``
     (ValueError, OverflowError), where an array holding one gives NaN.
     """
     def lift(x):
         if isinstance(x, SCALAR_TYPES):
             x = float(x)
-            return x + displacement(x - math.floor(x))
+            u = x - math.floor(x)
+            return x + displacement(u if u != 1.0 else 0.0)
         return x + displacement(frac(x))
 
     deriv = None
@@ -129,7 +128,8 @@ def periodic_lift(displacement: Callable, displacement_derivative: Callable | No
         def deriv(x):  # noqa: F811 - intentional rebinding
             if isinstance(x, SCALAR_TYPES):
                 x = float(x)
-                return 1.0 + displacement_derivative(x - math.floor(x))
+                u = x - math.floor(x)
+                return 1.0 + displacement_derivative(u if u != 1.0 else 0.0)
             return 1.0 + displacement_derivative(frac(x))
 
     return CircleDiffeo(lift_eval=lift, lift_derivative=deriv, label=label)
@@ -139,55 +139,25 @@ def inverse_eval(diffeo: CircleDiffeo, y: float) -> float:
     """Solve F(x) = y for the lift F.
 
     Returns ``diffeo.lift_inverse(y)`` when the map carries a closed-form
-    inverse.  Otherwise bracketed bisection to ``ROOT_TOL`` on
-    [y - 1, y + 1] (valid whenever the displacement F(x) - x stays inside
-    (-1, 1), which holds for every catalog map), followed by a Newton
-    polish when a derivative is available.
+    inverse.  Otherwise ``util.solve_increasing`` on [y - 1, y + 1] (valid
+    whenever the displacement F(x) - x stays inside (-1, 1), which holds
+    for every catalog map), widened by one on each side up to four times
+    until it brackets the root, from the start guess 2y - F(y), with
+    Newton steps when the map carries a derivative.
     """
     if diffeo.lift_inverse is not None:
         return diffeo.lift_inverse(y)
+    lift = diffeo.lift_eval
     lo, hi = y - 1.0, y + 1.0
-    flo = float(diffeo.lift_eval(lo)) - y
-    fhi = float(diffeo.lift_eval(hi)) - y
-    # widen once if the displacement convention pushes the root outside
-    widen = 0
-    while flo > 0.0 or fhi < 0.0:
-        lo -= 1.0
-        hi += 1.0
-        flo = float(diffeo.lift_eval(lo)) - y
-        fhi = float(diffeo.lift_eval(hi)) - y
-        widen += 1
-        if widen > 4:
-            raise RootFindError(
-                f"no bracket for F(x) = {y!r}: F({lo}) - y = {flo:.3g}, F({hi}) - y = {fhi:.3g}"
-            )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = float(diffeo.lift_eval(mid)) - y
-        if fmid <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= ROOT_TOL:
+    # widen when the displacement convention pushes the root outside
+    for _ in range(5):
+        if float(lift(lo)) <= y <= float(lift(hi)):
             break
+        lo, hi = lo - 1.0, hi + 1.0
     else:
-        raise RootFindError(
-            f"bisection stalled solving F(x) = {y!r}; bracket [{lo!r}, {hi!r}]"
-        )
-    x = 0.5 * (lo + hi)
-    if diffeo.lift_derivative is not None:
-        for _ in range(3):
-            fx = float(diffeo.lift_eval(x)) - y
-            dfx = float(diffeo.lift_derivative(x))
-            if dfx <= 0.0:
-                break
-            step = fx / dfx
-            x -= step
-            if abs(step) < 1e-16:
-                break
-        if not lo - ROOT_TOL <= x <= hi + ROOT_TOL:
-            x = 0.5 * (lo + hi)
-    return x
+        raise RootFindError(f"no bracket for F(x) = {y!r} within 5 of it")
+    guess = min(max(2.0 * y - float(lift(y)), lo), hi)
+    return solve_increasing(lift, diffeo.lift_derivative, y, lo, hi, guess)
 
 
 def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:

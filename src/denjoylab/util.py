@@ -6,15 +6,62 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import RootFindError
+
 #: recursion cap of adaptive Simpson against pathological refinement
 SIMPSON_MAX_DEPTH = 48
 #: partial quotient past which a continued fraction is float noise
 CF_STOP_QUOTIENT = 1e9
+#: step cap of solve_increasing; bisecting a bracket 10 wide down to
+#: SOLVE_STEP_FLOOR takes under 60 steps
+SOLVE_MAX_STEPS = 100
+#: a solve_increasing step no longer than this ends the solve
+SOLVE_STEP_FLOOR = 2.0 ** -53
 
 
 def frac(x):
-    """Fractional part mapped to [0, 1)."""
-    return x - np.floor(x)
+    """Fractional part mapped to [0, 1).
+
+    x - floor(x) rounds to 1.0 for a negative x no further than 2^-54
+    from zero; that case gives 0.0.  A scalar gives an ``np.float64``.
+    """
+    r = x - np.floor(x)
+    return r * (r != 1.0)
+
+
+def solve_increasing(g: Callable[[float], float],
+                     dg: Callable[[float], float] | None,
+                     t: float, lo: float, hi: float, x: float) -> float:
+    """The x in [lo, hi] with g(x) = t, for g increasing on the bracket.
+
+    Newton steps with derivative ``dg`` from the start guess x, inside a
+    bracket that shrinks to each evaluated point; a step that would leave
+    it bisects instead, as does every step when ``dg`` is None or not
+    positive.  Stops when g(x) = t, when a step moves x by at most
+    ``SOLVE_STEP_FLOOR``, or when no float is left strictly inside the
+    bracket, which ends the solve at any scale of x.  RootFindError after
+    ``SOLVE_MAX_STEPS`` steps.
+    """
+    for _ in range(SOLVE_MAX_STEPS):
+        f = float(g(x)) - t
+        if f == 0.0:
+            return x
+        if f > 0.0:
+            hi = x
+        else:
+            lo = x
+        nxt = 0.5 * (lo + hi)
+        if dg is not None:
+            slope = float(dg(x))
+            if slope > 0.0:
+                newton = x - f / slope
+                if lo < newton < hi:
+                    nxt = newton
+        if abs(nxt - x) <= SOLVE_STEP_FLOOR or not lo < nxt < hi:
+            return nxt
+        x = nxt
+    raise RootFindError(f"no root of g(x) = {t!r} within {SOLVE_MAX_STEPS} steps; "
+                        f"bracket [{lo!r}, {hi!r}]")
 
 
 def circle_dist(a: float, b: float) -> float:

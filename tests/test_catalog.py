@@ -11,6 +11,8 @@ from denjoylab import (Arc, CATALOG_ENTRIES, NonMonotoneMapError,
                        orbit_lift, takagi_total_variation, validate_lift)
 from denjoylab.util import frac
 
+from _denjoy_reference import find_dust_anchor, piece_table
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -166,16 +168,21 @@ def test_denjoy_base_maps_insertions_forward(denjoy50):
 
 
 @st.composite
-def accepted_denjoy(draw):
-    """A make_denjoy map over random (alpha, N, mass) that it accepts."""
+def accepted_denjoy_parameters(draw):
+    """Random (alpha, N, mass) that make_denjoy accepts, with its map."""
     alpha = draw(st.floats(0.02, 0.98))
     n = draw(st.integers(10, 120))
     mass = draw(st.floats(0.02, 0.95))
     try:
-        return make_denjoy(alpha, N=n, mass=mass)
+        return alpha, n, mass, make_denjoy(alpha, N=n, mass=mass)
     except (ValueError, RuntimeError):
         # parameters rejected, or no dust anchor found for them
         assume(False)
+
+
+def accepted_denjoy():
+    """A make_denjoy map over random (alpha, N, mass) that it accepts."""
+    return accepted_denjoy_parameters().map(lambda drawn: drawn[3])
 
 
 def _piece_knots(d):
@@ -229,6 +236,21 @@ def test_denjoy_inverse_agrees_with_bisection(d, ys):
     img_knots = f.lift_eval(_piece_knots(d))
     for y in np.concatenate([ys, img_knots]).tolist():
         assert abs(inverse_eval(f, y) - inverse_eval(generic, y)) <= 1e-12
+
+
+@LIFT_PROPERTY
+@given(accepted_denjoy_parameters(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
+def test_denjoy_matches_the_former_tiling_and_solver(drawn, ys):
+    alpha, n, mass, d = drawn
+    ref = piece_table(alpha, n, mass)
+    assert d.insertion_arcs == ref.insertion_arcs
+    # a source knot lands exactly on its image knot (s = 0) only when
+    # both knot tables agree with the reference
+    assert d.base.lift_eval(ref.src_knots[:-1]).tolist() == ref.img_knots[:-1].tolist()
+    assert d.cantor_anchor == find_dust_anchor(d.base.lift_eval, ref.insertion_arcs,
+                                               ref.dust_position, d.anchor_budget)
+    for y in _with_neighbours(np.concatenate([ys, ref.img_knots])).tolist():
+        assert d.base.lift_inverse(y) == ref.lift_inverse(y)
 
 
 @LIFT_PROPERTY

@@ -1,6 +1,9 @@
 """Arcs, lifts, inversion, iteration and composition."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from denjoylab import (Arc, arc_image, compose, inverse_eval, make_map,
                        orbit_lift, periodic_lift, validate_lift)
@@ -59,6 +62,18 @@ def test_inverse_eval_roundtrip():
     for y in (0.0, 0.123, 0.5, 0.871, 0.999):
         x = inverse_eval(f, y)
         assert circle_dist(float(f.lift(x)), y) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@example("rigid", 0.3, 0.0, True, 524289.0)
+@given(st.sampled_from(("rigid", "arnold")), st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(0.0, 0.999999), st.booleans(), st.floats(-1e9, 1e9))
+def test_generic_inverse_solves_at_any_scale(kind, alpha, amplitude, with_derivative, y):
+    f = make_map({"kind": kind, "alpha": alpha, "amplitude": amplitude})
+    if not with_derivative:
+        f = dataclasses.replace(f, lift_derivative=None)
+    x = inverse_eval(f, y)
+    assert abs(f.lift(x) - y) <= 4.0 * np.spacing(max(abs(y), 1.0))
 
 
 def test_orbit_lift_steps_forward():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from denjoylab import Arc
 from denjoylab.util import (adaptive_simpson, ccw_gap, circle_dist,
                             continued_fraction, convergents_of, dyadic_grid,
                             frac)
@@ -16,6 +17,17 @@ def test_frac_wraps_into_unit_interval():
     assert frac(3.0) == 0.0
     out = frac(np.array([-1.5, 0.5, 2.75]))
     assert np.allclose(out, [0.5, 0.5, 0.75])
+
+
+def test_frac_of_a_tiny_negative_is_zero():
+    # x - floor(x) rounds to 1.0 here; one ulp further out it does not
+    for x in (-1e-20, -2.0 ** -54, -5e-324):
+        value = frac(x)
+        assert value == 0.0 and type(value) is np.float64
+    assert frac(-2.0 ** -53) == 1.0 - 2.0 ** -53
+    out = frac(np.array([-1e-20, -2.0 ** -53, 0.5]))
+    assert out.tolist() == [0.0, 1.0 - 2.0 ** -53, 0.5]
+    assert Arc(-1e-20, 0.3).start == 0.0
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50))
