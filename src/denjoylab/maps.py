@@ -109,9 +109,9 @@ def periodic_lift(displacement: Callable, displacement_derivative: Callable | No
 
     Evaluating g on the fractional part makes F(x + 1) = F(x) + 1 hold to
     the last bit, not merely to rounding of a transcendental argument.
-    A scalar x (any of ``SCALAR_TYPES``) takes its fractional part with
-    ``math.floor``, mapping 1.0 to 0.0 as ``frac`` does, and hands g a
-    plain float; g must then repeat its array arithmetic operation for
+    A scalar x (any of ``SCALAR_TYPES``) takes its fractional part as
+    ``frac`` does, with ``math.floor`` and ``% 1.0``, and hands g a plain
+    float; g must then repeat its array arithmetic operation for
     operation, so both paths agree bit for bit.
     A NaN or infinite scalar therefore raises from ``math.floor``
     (ValueError, OverflowError), where an array holding one gives NaN.
@@ -119,8 +119,7 @@ def periodic_lift(displacement: Callable, displacement_derivative: Callable | No
     def lift(x):
         if isinstance(x, SCALAR_TYPES):
             x = float(x)
-            u = x - math.floor(x)
-            return x + displacement(u if u != 1.0 else 0.0)
+            return x + displacement((x - math.floor(x)) % 1.0)
         return x + displacement(frac(x))
 
     deriv = None
@@ -128,8 +127,7 @@ def periodic_lift(displacement: Callable, displacement_derivative: Callable | No
         def deriv(x):  # noqa: F811 - intentional rebinding
             if isinstance(x, SCALAR_TYPES):
                 x = float(x)
-                u = x - math.floor(x)
-                return 1.0 + displacement_derivative(u if u != 1.0 else 0.0)
+                return 1.0 + displacement_derivative((x - math.floor(x)) % 1.0)
             return 1.0 + displacement_derivative(frac(x))
 
     return CircleDiffeo(lift_eval=lift, lift_derivative=deriv, label=label)
