@@ -105,30 +105,33 @@ class CircleDiffeo:
 
 def periodic_lift(displacement: Callable, displacement_derivative: Callable | None = None,
                   label: str = "") -> CircleDiffeo:
-    """Build a lift F(x) = x + g(frac(x)) from a period-one displacement g.
+    """Build a lift F(x) = x + g(x - floor(x)) of a period-one displacement g.
 
     Evaluating g on the fractional part makes F(x + 1) = F(x) + 1 hold to
     the last bit, not merely to rounding of a transcendental argument.
-    A scalar x (any of ``SCALAR_TYPES``) takes its fractional part as
-    ``frac`` does, with ``math.floor`` and ``% 1.0``, and hands g a plain
-    float; g must then repeat its array arithmetic operation for
-    operation, so both paths agree bit for bit.
+    The part is x - floor(x) as it rounds: 1.0 for a negative x within
+    2^-54 of zero, where ``frac`` gives 0.0.  Both are valid for a
+    period-one g, and the scalar path, which iterates orbits, is spared
+    a second reduction.
+    A scalar x (any of ``SCALAR_TYPES``) takes its fractional part with
+    ``math.floor`` and hands g a plain float; g must then repeat its array
+    arithmetic operation for operation, so both paths agree bit for bit.
     A NaN or infinite scalar therefore raises from ``math.floor``
     (ValueError, OverflowError), where an array holding one gives NaN.
     """
     def lift(x):
         if isinstance(x, SCALAR_TYPES):
             x = float(x)
-            return x + displacement((x - math.floor(x)) % 1.0)
-        return x + displacement(frac(x))
+            return x + displacement(x - math.floor(x))
+        return x + displacement(x - np.floor(x))
 
     deriv = None
     if displacement_derivative is not None:
         def deriv(x):  # noqa: F811 - intentional rebinding
             if isinstance(x, SCALAR_TYPES):
                 x = float(x)
-                return 1.0 + displacement_derivative((x - math.floor(x)) % 1.0)
-            return 1.0 + displacement_derivative(frac(x))
+                return 1.0 + displacement_derivative(x - math.floor(x))
+            return 1.0 + displacement_derivative(x - np.floor(x))
 
     return CircleDiffeo(lift_eval=lift, lift_derivative=deriv, label=label)
 
