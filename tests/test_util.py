@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from denjoylab import Arc
 from denjoylab.util import (adaptive_simpson, ccw_gap, circle_dist,
@@ -28,6 +28,19 @@ def test_frac_of_a_tiny_negative_is_zero():
     out = frac(np.array([-1e-20, -2.0 ** -53, 0.5]))
     assert out.tolist() == [0.0, 1.0 - 2.0 ** -53, 0.5]
     assert Arc(-1e-20, 0.3).start == 0.0
+
+
+@example(-1e-20)
+@example(-0.0)
+@given(st.floats())
+def test_frac_scalar_path_matches_array_path_bitwise(x):
+    with np.errstate(invalid="ignore"):
+        ref = frac(np.array([x]))
+        for scalar in (x, np.float64(x)):
+            value = frac(scalar)
+            assert type(value) is np.float64
+            assert np.array_equal([value], ref, equal_nan=True)
+            assert np.signbit(value) == np.signbit(ref[0])
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50))
