@@ -83,10 +83,10 @@ class CircleDiffeo:
         label: human-readable tag used in reports.
         lift_inverse: a closed-form F^{-1} on floats, or None to let
             ``inverse_eval`` solve F(x) = y with ``util.solve_increasing``.
-            It must invert ``lift_eval``: ``dataclasses.replace`` of ``lift_eval`` alone is
-            valid only for a wrapper of the same function (one that counts
-            or times calls, say); a new lift also needs a new
-            ``lift_inverse`` or None.
+            It must invert ``lift_eval``: ``dataclasses.replace`` of
+            ``lift_eval`` alone is valid only for a wrapper of the same
+            function (one that counts or times calls, say); a new lift
+            also needs a new ``lift_inverse`` or None.
     """
 
     lift_eval: Callable
