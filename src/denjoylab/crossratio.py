@@ -113,10 +113,15 @@ def koebe_log_ratio(h, x: float, y: float) -> float:
     [h']_xy is the exact increment quotient, so affine maps and rigid
     rotations give exactly zero.
     """
+    return _koebe_log_ratio(h, x, y, *_lift_pair(h, x, y))
+
+
+def _lift_pair(h, x: float, y: float) -> tuple[float, float]:
+    """The images h(x), h(y) of a pair x < y, from one two-point lift."""
     if not x < y:
         raise ValueError(f"need x < y, got {x}, {y}")
-    hx, hy = (float(v) for v in _map_points(h, np.array([x, y])))
-    return _koebe_log_ratio(h, x, y, hx, hy)
+    hx, hy = _map_points(h, np.array([x, y]))
+    return float(hx), float(hy)
 
 
 def _koebe_log_ratio(h, x: float, y: float, hx: float, hy: float) -> float:
@@ -155,10 +160,10 @@ def decompose_ab(h, x: float, y: float) -> DistortionBreakdown:
     occurrences cancel in the reassembled identity, which therefore holds
     to roundoff rather than to quadrature tolerance.
     """
-    log_koebe = koebe_log_ratio(h, x, y)
+    hx, hy = _lift_pair(h, x, y)
+    log_koebe = _koebe_log_ratio(h, x, y, hx, hy)
     logd = log_derivative_function(h, x, y)
     avg_log = adaptive_simpson(logd, x, y, tol=QUAD_TOL) / (y - x)
-    hx, hy = (float(v) for v in _map_points(h, np.array([x, y])))
     log_quotient = math.log((hy - hx) / (y - x))
     term_a = float(logd(x)) + float(logd(y)) - 2.0 * avg_log
     term_b = log_quotient - avg_log

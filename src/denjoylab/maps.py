@@ -220,7 +220,8 @@ def validate_lift(diffeo: CircleDiffeo,
 
     The derivative/increment check integrates F' over each grid cell with
     adaptive Simpson to ``VALIDATE_QUAD_TOL`` and compares against
-    F(b) - F(a); it is skipped when the map carries no derivative.
+    F(b) - F(a); it is skipped when the map carries no derivative.  A NaN
+    integral on any cell makes the increment defect NaN, which fails.
     """
     xs = np.linspace(0.0, 1.0, grid_size + 1)
     fx = np.asarray(diffeo.lift_eval(xs), dtype=float)
@@ -234,13 +235,12 @@ def validate_lift(diffeo: CircleDiffeo,
     if diffeo.lift_derivative is not None:
         dx = np.asarray(diffeo.lift_derivative(xs), dtype=float)
         derivative_min = float(np.min(dx))
-        worst = 0.0
         deriv = diffeo.lift_derivative
-        for a, b, df in zip(xs[:-1], xs[1:], increments):
-            integral = adaptive_simpson(lambda t: float(deriv(t)), float(a), float(b),
-                                        tol=VALIDATE_QUAD_TOL)
-            worst = max(worst, abs(integral - float(df)))
-        increment_defect = worst
+        defects = [abs(adaptive_simpson(lambda t: float(deriv(t)), float(a), float(b),
+                                         tol=VALIDATE_QUAD_TOL) - float(df))
+                   for a, b, df in zip(xs[:-1], xs[1:], increments)]
+        # np.max, not max(): a NaN defect must propagate and fail the check
+        increment_defect = float(np.max(defects))
 
     return LiftValidationReport(
         grid_size=grid_size,

@@ -85,7 +85,9 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     """Adaptive Simpson quadrature of f over [a, b].
 
     Recursion splits until the two-panel correction is below tol for the
-    local slice, or ``SIMPSON_MAX_DEPTH`` levels deep.
+    local slice, or ``SIMPSON_MAX_DEPTH`` levels deep.  A NaN correction
+    ends the split too: refining could not clear it, so the NaN is
+    returned at once instead of after 2**SIMPSON_MAX_DEPTH cells.
     """
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
@@ -100,8 +102,9 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         flm, frm = f(lm), f(rm)
         left = _whole(lo, mid, flo, fmid, flm)
         right = _whole(mid, hi, fmid, fhi, frm)
-        if depth >= SIMPSON_MAX_DEPTH or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
+        corr = left + right - whole
+        if depth >= SIMPSON_MAX_DEPTH or abs(corr) <= 15.0 * eps or corr != corr:
+            return left + right + corr / 15.0
         return (_rec(lo, mid, flo, fmid, flm, left, eps / 2.0, depth + 1)
                 + _rec(mid, hi, fmid, fhi, frm, right, eps / 2.0, depth + 1))
 

@@ -49,18 +49,29 @@ def zygmund_variation_estimate(f: IntervalFunction, depth: int) -> float:
     function values.  The result dominates each single-level sum, is
     non-decreasing in depth, and is a lower bound for the full sup over
     arbitrary partitions.
+
+    Each step works in place in one buffer: |f(a) + f(b) - 2 f(mid)| is
+    taken in that order of operations from a doubled copy of the fine
+    samples (exact, a power-of-two scale), so every candidate, and hence
+    the max, is the one the plain expression gives, NaN included.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     lo, hi = f.domain
     fine = np.asarray(f.eval(dyadic_grid(lo, hi, depth + 1)), dtype=float)
-    coarse = fine[::2]
+    coarse = fine[::2].copy()
+    twice = 2.0 * fine
     p = coarse.size
     dp = np.empty(p)
     dp[0] = 0.0
+    buf = np.empty(p)
     for j in range(1, p):
-        w = np.abs(coarse[:j] + coarse[j] - 2.0 * fine[j:2 * j])
-        dp[j] = float(np.max(dp[:j] + w))
+        w = buf[:j]
+        np.add(coarse[:j], coarse[j], out=w)
+        np.subtract(w, twice[j:2 * j], out=w)
+        np.abs(w, out=w)
+        np.add(dp[:j], w, out=w)
+        dp[j] = w.max()
     return float(dp[-1])
 
 
@@ -88,6 +99,9 @@ def quadratic_variation(f: IntervalFunction, resolution: int) -> float:
     extrema by dynamic programming.  The function is sampled on
     2**resolution cells; an interior run spanning a single cell means two
     extrema closer than the cell width, which the sample cannot certify.
+    The DP squares each increment in place in one buffer, the same
+    operations as (ext[j] - ext[:j]) ** 2, so the result is unchanged to
+    the bit.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
@@ -101,8 +115,13 @@ def quadratic_variation(f: IntervalFunction, resolution: int) -> float:
         raise UnresolvedExtremaError((float(grid[start]), float(grid[start + 1])))
     ext = vals[idx]
     best = np.zeros(ext.size)
+    buf = np.empty(ext.size)
     for j in range(1, ext.size):
-        best[j] = np.max(best[:j] + (ext[j] - ext[:j]) ** 2)
+        w = buf[:j]
+        np.subtract(ext[j], ext[:j], out=w)
+        np.multiply(w, w, out=w)
+        np.add(best[:j], w, out=w)
+        best[j] = w.max()
     return float(best[-1])
 
 
@@ -278,9 +297,14 @@ def log_derivative_function(diffeo, lo: float = 0.0,
     """log of the derivative as an interval function on [lo, hi].
 
     ``diffeo`` is a circle diffeomorphism (its lift derivative is used)
-    or an interval function that carries a derivative.
+    or an interval function that carries a derivative.  A float argument
+    is handed to the derivative as it is, so maps with a plain-float
+    derivative path skip the 0-d array; ``np.log`` is kept on both paths
+    because ``math.log`` can differ from it in the last bit.
     """
     def f(x):
+        if isinstance(x, float):
+            return float(np.log(_derivative(diffeo, x)))
         d = _derivative(diffeo, np.asarray(x, dtype=float))
         out = np.log(d)
         return float(out) if np.ndim(x) == 0 else out

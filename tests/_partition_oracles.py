@@ -3,7 +3,10 @@
 Every oracle enumerates subsets of a small sample grid directly, with no
 shared code path into the package, so agreement is meaningful evidence.
 ``qv_scan_reference`` is the quadratic variation's former one-increment-
-at-a-time extrema scan, kept as the reference for the array version.
+at-a-time extrema scan, kept as the reference for the array version;
+``qv_dp_reference`` and ``zv_dp_reference`` are the two partition DPs as
+they were written before they ran in place in one buffer, kept as the
+bit-for-bit references for those kernels.
 """
 from itertools import combinations
 
@@ -83,8 +86,25 @@ def qv_scan_reference(values, grid):
     for start, end in runs:
         if end - start == 1 and start > 0 and end < values.size - 1:
             return float(grid[start]), float(grid[end])
-    ext = values[[runs[0][0]] + [end for _, end in runs]]
+    return qv_dp_reference(values[[runs[0][0]] + [end for _, end in runs]])
+
+
+def qv_dp_reference(ext):
+    """Best squared-increment sum over subsets of the extrema ``ext``."""
     best = np.zeros(ext.size)
     for j in range(1, ext.size):
         best[j] = np.max(best[:j] + (ext[j] - ext[:j]) ** 2)
     return float(best[-1])
+
+
+def zv_dp_reference(fine):
+    """Best midpoint-second-difference sum over partitions whose
+    breakpoints are the even-indexed ``fine`` samples."""
+    fine = np.asarray(fine, dtype=float)
+    coarse = fine[::2]
+    dp = np.empty(coarse.size)
+    dp[0] = 0.0
+    for j in range(1, coarse.size):
+        w = np.abs(coarse[:j] + coarse[j] - 2.0 * fine[j:2 * j])
+        dp[j] = float(np.max(dp[:j] + w))
+    return float(dp[-1])

@@ -1,4 +1,5 @@
 """Cross ratios, their log identity and distortion bounds."""
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,24 @@ class TestDecomposition:
                                                  abs=1e-12)
             assert abs(br.term_a) <= br.zv_bound + 1e-12
             assert abs(br.term_b) <= br.qv_bound + 1e-12
+
+    def test_lifts_the_pair_once(self):
+        f = make_map({"kind": "arnold", "alpha": 0.37, "amplitude": 0.7})
+        pair_lifts = []
+
+        def counting(x):
+            if np.ndim(x) == 1 and np.size(x) == 2:
+                pair_lifts.append(tuple(np.asarray(x).tolist()))
+            return f.lift_eval(x)
+
+        br = decompose_ab(dataclasses.replace(f, lift_eval=counting), 0.05, 0.3)
+        assert pair_lifts == [(0.05, 0.3)]
+        assert br == decompose_ab(f, 0.05, 0.3)
+        assert br.log_koebe == koebe_log_ratio(f, 0.05, 0.3)
+
+    def test_requires_order(self, golden_rotation):
+        with pytest.raises(ValueError, match="need x < y"):
+            decompose_ab(golden_rotation, 0.7, 0.2)
 
 
 class TestDeltaFactor:

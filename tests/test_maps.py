@@ -1,5 +1,6 @@
 """Arcs, lifts, inversion, iteration and composition."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -103,6 +104,20 @@ def test_validate_lift_accepts_smooth_family():
     assert rep.monotonicity_defect == 0.0
     assert rep.derivative_min > 0.0
     assert rep.increment_defect <= 1e-8
+
+
+def test_validate_lift_fails_a_nan_derivative():
+    smooth = _arnold(0.35, 0.8)
+
+    def deriv(x):
+        t = np.asarray(x, dtype=float)
+        return np.where((0.3001 < t) & (t < 0.3002), math.nan,
+                        smooth.lift_derivative(x))
+
+    rep = validate_lift(dataclasses.replace(smooth, lift_derivative=deriv),
+                        grid_size=2000)
+    assert math.isnan(rep.increment_defect)
+    assert not rep.passed
 
 
 def test_validate_lift_flags_folding_map():

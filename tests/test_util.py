@@ -71,6 +71,18 @@ def test_adaptive_simpson_known_integrals():
     assert val == pytest.approx(0.5, abs=1e-10)
 
 
+def test_adaptive_simpson_returns_nan_without_refining_it():
+    calls = []
+
+    def half_nan(x):
+        calls.append(x)
+        return math.nan if x > 0.5 else 1.0
+
+    assert math.isnan(adaptive_simpson(half_nan, 0.0, 1.0))
+    # one split of the whole interval already shows a NaN correction
+    assert len(calls) == 5
+
+
 def test_dyadic_grid_shape_and_endpoints():
     g = dyadic_grid(0.0, 1.0, 3)
     assert g.shape == (9,)

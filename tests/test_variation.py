@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from _partition_oracles import (monotone_runs, qv_oracle, qv_scan_reference,
-                                tv_oracle, zv_oracle)
+                                tv_oracle, zv_dp_reference, zv_oracle)
 from denjoylab import (IntervalFunction, NotDifferentiableError,
                        UnresolvedExtremaError, classify_regularity,
                        example_function, make_map, quadratic_variation)
@@ -118,6 +118,76 @@ class TestQuadraticVariation:
             expected = sum(2.0 / n**2 for n in range(1, d + 1))
             assert quadratic_variation(f, d + 3) == pytest.approx(
                 expected, abs=1e-12)
+
+
+def _kernel_input(data, denjoy50):
+    """Fine samples (2**(depth + 1) + 1 of them) of a drawn function, some
+    set to NaN, for the partition DPs at a drawn depth 1..10."""
+    depth = data.draw(st.integers(1, 10), label="depth")
+    kind = data.draw(st.sampled_from(
+        ["pw-linear", "ex1", "ex2", "ex3", "denjoy", "arnold"]), label="kind")
+    if kind == "pw-linear":
+        ys = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=12))
+        knots = np.linspace(0.0, 1.0, len(ys))
+        f = _fn(lambda x: np.interp(np.asarray(x), knots, ys), kind)
+    elif kind.startswith("ex"):
+        f = example_function(kind, data.draw(st.integers(0, 12)))
+    else:
+        lo = data.draw(st.floats(-1.0, 1.0))
+        hi = lo + data.draw(st.floats(1e-3, 1.0))
+        diffeo = denjoy50.base if kind == "denjoy" else make_map({
+            "kind": "arnold", "alpha": data.draw(st.floats(0.0, 1.0)),
+            "amplitude": data.draw(st.floats(0.0, 0.9))})
+        f = log_derivative_function(diffeo, lo, hi)
+    lo, hi = f.domain
+    vals = np.asarray(f.eval(dyadic_grid(lo, hi, depth + 1)), dtype=float)
+    nans = data.draw(st.lists(st.integers(0, vals.size - 1), max_size=3))
+    vals[nans] = math.nan
+    return depth, vals
+
+
+class TestPartitionKernels:
+    """Both DPs against their former loops, compared by repr so that
+    every bit counts and NaN equals NaN."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_zygmund_dp_matches_the_former_loop(self, data, denjoy50):
+        depth, vals = _kernel_input(data, denjoy50)
+        got = zygmund_variation_estimate(_fn(lambda x: vals, "samples"), depth)
+        assert repr(got) == repr(zv_dp_reference(vals))
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_quadratic_dp_matches_the_former_loop(self, data, denjoy50):
+        depth, vals = _kernel_input(data, denjoy50)
+        try:
+            got = quadratic_variation(_fn(lambda x: vals, "samples"), depth + 1)
+        except UnresolvedExtremaError as err:
+            got = err.cell
+        assert repr(got) == repr(qv_scan_reference(
+            vals, dyadic_grid(0.0, 1.0, depth + 1)))
+
+    @given(x=st.floats(-3.0, 3.0), alpha=st.floats(0.0, 1.0),
+           amplitude=st.floats(0.0, 0.9))
+    def test_scalar_log_derivative_matches_the_0d_path(self, denjoy50, x,
+                                                       alpha, amplitude):
+        arnold = make_map({"kind": "arnold", "alpha": alpha,
+                           "amplitude": amplitude})
+        for diffeo in (denjoy50.base, arnold):
+            f = log_derivative_function(diffeo)
+            zero_d = f(np.array(x))
+            assert repr(f(x)) == repr(zero_d)
+            assert repr(f(np.float64(x))) == repr(zero_d)
+
+    def test_scalar_log_derivative_matches_on_a_dense_grid(self, denjoy50):
+        # dense enough that a last-bit difference of the log shows
+        xs = np.linspace(-1.0, 2.0, 6001).tolist()
+        arnold = make_map({"kind": "arnold", "alpha": 0.3, "amplitude": 0.8})
+        for diffeo in (denjoy50.base, arnold):
+            f = log_derivative_function(diffeo)
+            assert ([repr(f(x)) for x in xs]
+                    == [repr(f(np.array(x))) for x in xs])
 
 
 class TestTotalVariationOracle:
