@@ -72,11 +72,18 @@ class SemiConjugacy:
 
     anchor: float
     alpha: float
-    knots: tuple
     defect: float
     plateaus: tuple
     _domain: np.ndarray
     _target: np.ndarray
+    _points: np.ndarray
+    _knot_targets: np.ndarray
+
+    @property
+    def knots(self) -> tuple:
+        """(f^k(x0) mod 1, target) pairs of plain floats, k = 0 .. n - 1,
+        built when read."""
+        return tuple(zip(self._points.tolist(), self._knot_targets.tolist()))
 
     def interpolant(self, x):
         """Evaluate the piecewise-linear lift h with h(x+1) = h(x) + 1."""
@@ -279,10 +286,10 @@ def _semiconjugacy(orbit: np.ndarray, x0: float, n: int) -> SemiConjugacy:
             span_t = float(np.sum(tgt_gaps[members]))
             plateaus.append((Arc(lo, hi), span_t / span_d))
 
-    knots = tuple(zip(pts.tolist(), knot_targets.tolist()))
-    return SemiConjugacy(anchor=float(x0), alpha=float(alpha), knots=knots,
+    return SemiConjugacy(anchor=float(x0), alpha=float(alpha),
                          defect=float(defect), plateaus=tuple(plateaus),
-                         _domain=domain, _target=target_inc)
+                         _domain=domain, _target=target_inc,
+                         _points=pts, _knot_targets=knot_targets)
 
 
 def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:

@@ -9,6 +9,7 @@ representation, so the invariants here are checked on a grid by
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,7 +79,9 @@ class CircleDiffeo:
     """Degree-one circle map given by its lift.
 
     Fields:
-        lift_eval: the lift F, accepting floats or numpy arrays.
+        lift_eval: the lift F, accepting floats or numpy arrays.  It must be
+            pure: the same float always gives the same float, because
+            ``orbit_lift`` hands out stored orbits of the same map object.
         lift_derivative: F' when the map is C1, else None.
         label: human-readable tag used in reports.
         lift_inverse: a closed-form F^{-1} on floats, or None to let
@@ -161,18 +164,42 @@ def inverse_eval(diffeo: CircleDiffeo, y: float) -> float:
     return solve_increasing(lift, diffeo.lift_derivative, y, lo, hi, guess)
 
 
+#: the last orbit orbit_lift iterated: (weakref to the map, start, orbit)
+_last_orbit = (None, 0.0, np.empty(0))
+
+
 def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
-    """Lift orbit [x0, F(x0), ..., F^n(x0)] as one array."""
+    """Lift orbit [x0, F(x0), ..., F^n(x0)] as one array.
+
+    The last orbit iterated is kept in one slot, keyed on the map object
+    (held by a weak reference, so a new map at a freed address never
+    matches) and on the bits of ``float(x0)``: 0.0 and -0.0 are different
+    starts, and a NaN start never matches.  A call on the same map and
+    start reads its points from the slot and iterates only the steps past
+    its end, then keeps the longer orbit.  The loop's only state is the
+    last point, so the result is bit for bit the orbit a fresh loop gives.
+    Each call returns a new array; the slot is replaced, never changed in
+    place, so a caller, or another thread, cannot alter a stored orbit.
+    """
+    global _last_orbit
     if n < 0:
         raise ValueError(f"need n >= 0 steps, got {n}")
-    lift = diffeo.lift_eval
-    z = float(x0)
-    out = [z]
-    append = out.append
-    for _ in range(n):
-        z = float(lift(z))
-        append(z)
-    return np.array(out)
+    start = float(x0)
+    ref, last_start, orbit = _last_orbit
+    if not (ref is not None and ref() is diffeo and last_start == start
+            and math.copysign(1.0, last_start) == math.copysign(1.0, start)):
+        orbit = np.array([start])
+    if n >= orbit.size:
+        lift = diffeo.lift_eval
+        z = float(orbit[-1])
+        tail = []
+        append = tail.append
+        for _ in range(n + 1 - orbit.size):
+            z = float(lift(z))
+            append(z)
+        orbit = np.concatenate([orbit, tail])
+        _last_orbit = (weakref.ref(diffeo), start, orbit)
+    return orbit[:n + 1].copy()
 
 
 def arc_image(diffeo: CircleDiffeo, arc: Arc) -> Arc:
@@ -228,7 +255,9 @@ def validate_lift(diffeo: CircleDiffeo,
     fx1 = np.asarray(diffeo.lift_eval(xs + 1.0), dtype=float)
     periodicity = float(np.max(np.abs(fx1 - fx - 1.0)))
     increments = np.diff(fx)
-    monotonicity = float(max(0.0, -np.min(increments)))
+    # not max(0.0, drop), which keeps 0.0 against NaN: a NaN drop must fail
+    drop = -float(np.min(increments))
+    monotonicity = 0.0 if drop <= 0.0 else drop
 
     derivative_min = None
     increment_defect = None

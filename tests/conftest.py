@@ -1,9 +1,11 @@
-"""Shared fixtures: one truncated wandering-interval map and one rigid rotation.
+"""Shared fixtures: one truncated wandering-interval map and one rigid rotation,
+and ``counting_lift``, which counts a map's lift evaluations.
 
 Hypothesis draws fresh examples on every local run.  With
 ``HYPOTHESIS_PROFILE=ci`` (set by the CI workflow) it derandomizes, so a
 red CI run can be reproduced with the same variable.
 """
+import dataclasses
 import math
 import os
 
@@ -28,3 +30,16 @@ def denjoy50():
 @pytest.fixture(scope="session")
 def golden_rotation():
     return make_map({"kind": "rigid", "alpha": GOLDEN})
+
+
+def counting_lift(diffeo):
+    """A copy of the map whose lift records each argument it is called with,
+    and the list it records them in: one entry per lift evaluation, scalar
+    or array."""
+    calls = []
+
+    def lift(x):
+        calls.append(x)
+        return diffeo.lift_eval(x)
+
+    return dataclasses.replace(diffeo, lift_eval=lift), calls

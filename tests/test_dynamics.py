@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import counting_lift
 from denjoylab import (Arc, CollapsedArcError, PeriodicOrbitError, arc_image,
                        birkhoff_estimate, build_semiconjugacy,
                        conjugacy_verdict, dynamics, interval_orbit, make_map,
@@ -210,6 +211,28 @@ class TestOneOrbitPerCall:
             assert starts
             assert ([arc.start for arc, _ in semi.plateaus]
                     == [float(semi._domain[i]) for i in starts])
+
+    def test_birkhoff_reads_the_semiconjugacy_orbit(self, golden_rotation):
+        m, lifts = counting_lift(golden_rotation)
+        n, x0 = 2000, 0.15
+        build_semiconjugacy(m, x0, n)
+        assert len(lifts) == n
+        birkhoff_estimate(m, x0, n)
+        assert len(lifts) == n
+        birkhoff_estimate(m, x0, n + 500)
+        assert len(lifts) == n + 500
+
+    def test_knots_match_the_eager_tuple(self, denjoy50):
+        arnold = make_map({"kind": "arnold", "alpha": 0.41, "amplitude": 0.6})
+        for diffeo, x0, n in ((denjoy50.base, denjoy50.cantor_anchor, 1000),
+                              (arnold, 0.2, 600)):
+            semi = build_semiconjugacy(diffeo, x0, n)
+            pts = frac(orbit_lift(diffeo, x0, n)[:n])
+            rank = np.argsort(np.argsort(pts))
+            targets = np.sort(frac(np.arange(n) * semi.alpha))
+            knot_targets = targets[(rank - rank[0]) % n]
+            assert semi.knots == tuple(zip(pts.tolist(), knot_targets.tolist()))
+            assert all(type(v) is float for knot in semi.knots for v in knot)
 
     def test_verdict_hands_back_its_semiconjugacy(self, denjoy50):
         semi = conjugacy_verdict(denjoy50, 1000).semi

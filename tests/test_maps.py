@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _orbit_reference import orbit_lift_reference
 from denjoylab import (Arc, arc_image, compose, inverse_eval, make_map,
                        orbit_lift, periodic_lift, validate_lift)
 from denjoylab.util import circle_dist, frac
@@ -91,6 +92,31 @@ def test_orbit_lift_steps_forward():
         orbit_lift(f, 0.2, -1)
 
 
+ORBIT_MAP = _arnold(0.41, 0.6)
+#: starts of the slot property: both zeros, and one start per sign
+ORBIT_STARTS = (0.0, -0.0, 0.2, -1.3)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@example(calls=[(0, 0.0, 20), (0, -0.0, 5), (0, 0.0, 5), (0, 0.0, 40),
+                (1, 0.0, 30), (0, 0.0, 10), (1, 0.0, 10), (1, 0.0, 45)])
+@given(calls=st.lists(st.tuples(st.integers(0, 1), st.sampled_from(ORBIT_STARTS),
+                                st.integers(0, 50)), min_size=1, max_size=12))
+def test_orbit_lift_slot_matches_the_former_loop(denjoy50, calls):
+    """Interleaved calls on an Arnold and a Denjoy map, hitting the stored
+    orbit with prefixes and resumes, give the fresh loop's bits, and a
+    caller that writes into a returned orbit changes no later one."""
+    maps = (ORBIT_MAP, denjoy50.base)
+    for which, x0, n in calls:
+        got = orbit_lift(maps[which], x0, n)
+        assert np.array_equal(_bits(got), _bits(orbit_lift_reference(maps[which], x0, n)))
+        got[:] = math.nan
+
+
 def test_arc_image_of_rotation_is_translation():
     f = make_map({"kind": "rigid", "alpha": 0.34})
     img = arc_image(f, Arc(0.9, 0.2))
@@ -118,6 +144,26 @@ def test_validate_lift_fails_a_nan_derivative():
                         grid_size=2000)
     assert math.isnan(rep.increment_defect)
     assert not rep.passed
+
+
+def test_validate_lift_fails_a_nan_lift():
+    smooth = _arnold(0.35, 0.8)
+
+    def lift(x):
+        t = frac(np.asarray(x, dtype=float))
+        return np.where((0.5 < t) & (t < 0.5006), math.nan, smooth.lift_eval(x))
+
+    rep = validate_lift(dataclasses.replace(smooth, lift_eval=lift), grid_size=2000)
+    assert math.isnan(rep.monotonicity_defect)
+    # the NaN monotonicity defect fails the check by itself
+    assert not dataclasses.replace(rep, periodicity_defect=0.0).passed
+
+
+def test_validate_lift_gives_plus_zero_for_a_flat_lift():
+    stair = periodic_lift(lambda u: -u)      # F(x) = floor(x)
+    rep = validate_lift(stair, grid_size=100)
+    assert rep.monotonicity_defect == 0.0
+    assert math.copysign(1.0, rep.monotonicity_defect) == 1.0
 
 
 def test_validate_lift_flags_folding_map():
