@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import NonMonotoneMapError
-from .maps import SCALAR_TYPES, Arc, CircleDiffeo, periodic_lift
+from .maps import SCALAR_TYPES, Arc, CircleDiffeo, _store_orbit, periodic_lift
 from .util import continued_fraction, frac, solve_increasing
 
 TWO_PI = 2.0 * math.pi
@@ -128,7 +128,10 @@ class DenjoyMap:
     sitting at circle angle frac(n * alpha) of the reference rotation.
     ``cantor_anchor`` is a point of the complementary (dust) set whose
     forward orbit was checked to stay clear of every insertion for at
-    least ``anchor_budget`` iterates.
+    least ``anchor_budget`` iterates.  ``make_denjoy`` leaves that orbit,
+    ``anchor_budget`` + 1 steps, in ``maps.orbit_lift``'s slot under
+    ``base`` and the anchor, so the first ``orbit_lift`` of ``base`` from
+    ``cantor_anchor`` reads it and iterates only the steps past its end.
     """
 
     base: CircleDiffeo
@@ -260,15 +263,18 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
     knots, lens, rats, imgs = (a.tolist() for a in
                                (src_knots, src_lens, ratios, img_knots))
 
+    def step(x: float) -> tuple[float, int]:
+        """F(x) for a float x, and the index of the piece that holds x."""
+        k = math.floor(x - cut)
+        u = x - k
+        j = min(max(bisect_right(knots, u) - 1, 0), last)
+        s = (u - knots[j]) / lens[j]
+        g = s + (rats[j] - 1.0) * (3.0 - 2.0 * s) * s * s
+        return imgs[j] + lens[j] * g + k, j
+
     def lift(x):
         if isinstance(x, SCALAR_TYPES):
-            x = float(x)
-            k = math.floor(x - cut)
-            u = x - k
-            j = min(max(bisect_right(knots, u) - 1, 0), last)
-            s = (u - knots[j]) / lens[j]
-            g = s + (rats[j] - 1.0) * (3.0 - 2.0 * s) * s * s
-            return imgs[j] + lens[j] * g + k
+            return step(float(x))[0]
         arr = np.asarray(x, dtype=float)
         k = np.floor(arr - cut)
         u = arr - k
@@ -316,11 +322,6 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
         s = solve_increasing(g, dg, t, 0.0, 1.0, min(max(t / (r1 + 1.0), 0.0), 1.0))
         return knots[j] + lens[j] * s + k
 
-    def in_insertion(x: float) -> bool:
-        """Whether the lift's piece at x is an insertion (an even piece)."""
-        j = bisect_right(knots, x - math.floor(x - cut)) - 1
-        return min(max(j, 0), last) % 2 == 0
-
     base = CircleDiffeo(lift_eval=lift, lift_derivative=lift_derivative,
                         lift_inverse=lift_inverse,
                         label=f"denjoy({alpha:.6g}, N={N}, mass={mass:g})")
@@ -328,7 +329,9 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
     insertion_arcs = tuple(Arc(start, end) for start, end in zip(
         start_by_index.tolist(), (start_by_index + lengths).tolist()))
     anchor_budget = 1100
-    anchor = _find_dust_anchor(base, in_insertion, dust_position, anchor_budget)
+    orbit = _find_dust_anchor(step, dust_position, anchor_budget)
+    _store_orbit(base, orbit)
+    anchor = orbit[0]
 
     return DenjoyMap(
         base=base,
@@ -342,30 +345,31 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
     )
 
 
-def _find_dust_anchor(base: CircleDiffeo, in_insertion: Callable[[float], bool],
+def _find_dust_anchor(step: Callable[[float], tuple[float, int]],
                       dust_position: Callable[[float], float],
-                      budget: int) -> float:
-    """A dust point whose orbit avoids every insertion for ``budget`` steps.
+                      budget: int) -> list[float]:
+    """The lift orbit z_0 .. z_{budget+1} of a dust point z_0 whose orbit
+    avoids every insertion for ``budget`` steps.
 
     The truncation makes one dust stretch spill into the lowest-index
     insertion, so a random dust point can be swallowed by the insertion
     chain; candidates are therefore screened by direct simulation, each
-    dropped at its first step into an insertion.
+    dropped at its first step into an insertion.  ``step(z)`` gives F(z)
+    and the index of the piece holding z, so each step looks up its piece
+    once: the pieces alternate insertion, dust, ..., and z_0 .. z_budget
+    must all lie on odd (dust) pieces.
     """
     seed = 0.5 * (math.sqrt(5.0) - 1.0)
-    for j in range(40):
-        t = float(frac(0.1234567 + seed * j))
-        x = dust_position(t)
-        if in_insertion(x):
-            continue
-        z, ok = x, True
-        for _ in range(budget):
-            z = base.lift_eval(z)
-            if in_insertion(z):
-                ok = False
+    for i in range(40):
+        z = dust_position(float(frac(0.1234567 + seed * i)))
+        orbit = [z]
+        for _ in range(budget + 1):
+            z, piece = step(z)
+            if not piece & 1:
                 break
-        if ok:
-            return x
+            orbit.append(z)
+        else:
+            return orbit
     raise RuntimeError(f"no dust anchor found clear of insertions for {budget} steps")
 
 

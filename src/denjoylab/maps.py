@@ -34,14 +34,18 @@ class Arc:
 
     Positions live in [0, 1); ``length`` is the ccw extent and must stay
     in (0, 1) -- a full-circle or empty arc is rejected.
+    Every reduction mod 1 is ``x % 1.0 % 1.0``, which is ``util.frac``'s
+    float path without its ``np.float64`` wrapper (the second ``% 1.0``
+    turns the 1.0 of a difference within 2^-54 below 0 into 0.0), and for
+    any other numeric scalar gives the bits ``frac`` gives.
     """
 
     start: float
     end: float
 
     def __post_init__(self):
-        object.__setattr__(self, "start", float(frac(self.start)))
-        object.__setattr__(self, "end", float(frac(self.end)))
+        object.__setattr__(self, "start", float(self.start % 1.0 % 1.0))
+        object.__setattr__(self, "end", float(self.end % 1.0 % 1.0))
         if not 0.0 < self.length < 1.0:
             raise ValueError(
                 f"arc length {self.length!r} outside (0, 1): start={self.start}, end={self.end}"
@@ -49,20 +53,20 @@ class Arc:
 
     @property
     def length(self) -> float:
-        return float(frac(self.end - self.start))
+        return (self.end - self.start) % 1.0 % 1.0
 
     def contains(self, point: float, tol: float = 0.0) -> bool:
         """Closed-arc membership, with optional tolerance padding."""
-        return bool(frac(point - self.start) <= self.length + tol
-                    or frac(self.start - point) <= tol)
+        return bool((point - self.start) % 1.0 % 1.0 <= self.length + tol
+                    or (self.start - point) % 1.0 % 1.0 <= tol)
 
     def intersects(self, other: "Arc", tol: float = 0.0) -> bool:
         """True when the closed arcs come within tol of each other."""
-        return (frac(other.start - self.start) <= self.length + tol
-                or frac(self.start - other.start) <= other.length + tol)
+        return ((other.start - self.start) % 1.0 % 1.0 <= self.length + tol
+                or (self.start - other.start) % 1.0 % 1.0 <= other.length + tol)
 
     def midpoint(self) -> float:
-        return float(frac(self.start + 0.5 * self.length))
+        return (self.start + 0.5 * self.length) % 1.0 % 1.0
 
 
 def first_overlap(arcs, tol: float = 0.0) -> tuple[int, int] | None:
@@ -180,6 +184,9 @@ def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
     last point, so the result is bit for bit the orbit a fresh loop gives.
     Each call returns a new array; the slot is replaced, never changed in
     place, so a caller, or another thread, cannot alter a stored orbit.
+    ``catalog.make_denjoy`` fills the slot with the orbit it screened for
+    its anchor, so the first call on a new Denjoy map from its
+    ``cantor_anchor`` iterates only past ``anchor_budget`` + 1 steps.
     """
     global _last_orbit
     if n < 0:
@@ -200,6 +207,14 @@ def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
         orbit = np.concatenate([orbit, tail])
         _last_orbit = (weakref.ref(diffeo), start, orbit)
     return orbit[:n + 1].copy()
+
+
+def _store_orbit(diffeo: CircleDiffeo, orbit: list[float]) -> None:
+    """Put a lift orbit [x0, F(x0), ...] of the map, iterated with the
+    scalar arithmetic of its ``lift_eval``, in ``orbit_lift``'s slot,
+    keyed on the map object and on x0 = orbit[0]."""
+    global _last_orbit
+    _last_orbit = (weakref.ref(diffeo), orbit[0], np.array(orbit))
 
 
 def arc_image(diffeo: CircleDiffeo, arc: Arc) -> Arc:

@@ -1,5 +1,6 @@
 """Shared fixtures: one truncated wandering-interval map and one rigid rotation,
-and ``counting_lift``, which counts a map's lift evaluations.
+and ``counting_lift`` and ``count_lift_in_place``, which count a map's lift
+evaluations.
 
 Hypothesis draws fresh examples on every local run.  With
 ``HYPOTHESIS_PROFILE=ci`` (set by the CI workflow) it derandomizes, so a
@@ -43,3 +44,19 @@ def counting_lift(diffeo):
         return diffeo.lift_eval(x)
 
     return dataclasses.replace(diffeo, lift_eval=lift), calls
+
+
+def count_lift_in_place(diffeo):
+    """Make the map itself record each argument its lift is called with,
+    and return the list it records them in.  Unlike ``counting_lift`` it
+    keeps the map object, so an orbit stored under that object still
+    matches."""
+    calls = []
+    lift = diffeo.lift_eval
+
+    def counted(x):
+        calls.append(x)
+        return lift(x)
+
+    object.__setattr__(diffeo, "lift_eval", counted)
+    return calls

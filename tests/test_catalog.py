@@ -12,6 +12,7 @@ from denjoylab import (Arc, CATALOG_ENTRIES, NonMonotoneMapError,
 from denjoylab.util import frac
 
 from _denjoy_reference import find_dust_anchor, piece_table
+from _orbit_reference import orbit_lift_reference
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -104,6 +105,14 @@ class TestDenjoy:
     def test_mass_must_leave_room(self):
         with pytest.raises(ValueError):
             make_denjoy(GOLDEN, N=10, mass=1.0)
+
+    def test_golden_mean_finds_no_dust_anchor(self):
+        # a known defect, pinned at N = 30 by the golden reports; the
+        # benchmark labels it by this exception type
+        with pytest.raises(RuntimeError) as err:
+            make_denjoy(GOLDEN, N=50, mass=0.5)
+        assert type(err.value) is RuntimeError
+        assert str(err.value) == "no dust anchor found clear of insertions for 1100 steps"
 
     def test_overlapping_image_tiling_rejected(self):
         # the closing adjustment of the last piece turns it negative
@@ -263,6 +272,17 @@ def test_denjoy_lift_periodic_and_increasing(d, xs):
     fx = f.lift_eval(pts)
     assert np.max(np.abs(f.lift_eval(pts + 1.0) - fx - 1.0)) <= 1e-12
     assert np.all(np.diff(fx) > 0.0)
+
+
+@LIFT_PROPERTY
+@given(accepted_denjoy())
+def test_make_denjoy_hands_its_anchor_orbit_to_orbit_lift(d):
+    """Prefixes of the orbit make_denjoy stored, and resumes past its end,
+    are bit for bit the fresh orbit of the anchor."""
+    for n in (0, 1000, 1100, 1200):
+        got = orbit_lift(d.base, d.cantor_anchor, n)
+        ref = orbit_lift_reference(d.base, d.cantor_anchor, n)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 @st.composite

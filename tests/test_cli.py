@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from _orbit_reference import orbit_lift_reference
+from conftest import count_lift_in_place
 from denjoylab import (PeriodicOrbitError, birkhoff_estimate,
                        build_semiconjugacy, cli, conjugacy_verdict, dynamics,
-                       maps, rotation)
+                       make_denjoy, maps, rotation)
 from denjoylab.cli import (ConfigError, _build_target, _parse_config, main,
                            run_experiment, _sweep_configs)
 
@@ -94,6 +96,39 @@ class TestRotationPipeline:
         monkeypatch.undo()
         _, diffeo, anchor = _build_target(_parse_config(ROT))
         assert stage["value"] == birkhoff_estimate(diffeo, anchor, 1000).value
+
+
+class TestDenjoyAnchorOrbit:
+    """The orbit make_denjoy screened for its anchor serves the stages."""
+
+    @staticmethod
+    def _lift_calls(monkeypatch, pipeline):
+        """One Denjoy N = 50 run at the CLI defaults: its map, and the
+        argument of every lift evaluation after the build."""
+        built = []
+
+        def build(*args, **kwargs):
+            target = make_denjoy(*args, **kwargs)
+            built.append((target, count_lift_in_place(target.base)))
+            return target
+
+        monkeypatch.setattr(cli, "make_denjoy", build)
+        text = CONJ_DENJOY.replace("budget = 400\n", "").replace("N = 30", "N = 50")
+        run_experiment(text.replace("pipeline = conjugacy", f"pipeline = {pipeline}"))
+        [(target, calls)] = built
+        return target, list(calls)
+
+    def test_rotation_evaluates_no_lift(self, monkeypatch):
+        assert self._lift_calls(monkeypatch, "rotation")[1] == []
+
+    def test_conjugacy_iterates_only_past_the_stored_orbit(self, monkeypatch):
+        target, calls = self._lift_calls(monkeypatch, "conjugacy")
+        ref = orbit_lift_reference(target.base, target.cantor_anchor, 1200).tolist()
+        # make_denjoy stored z_0 .. z_end; the verdict's 1 200-step anchor
+        # orbit comes first and evaluates the lift at z_end .. z_1199 only
+        end = target.anchor_budget + 1
+        assert calls[:1200 - end] == ref[end:1200]
+        assert not set(ref[:end]) & {x for x in calls if isinstance(x, float)}
 
 
 class TestVariationPipeline:

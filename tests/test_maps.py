@@ -52,6 +52,68 @@ class TestArc:
         assert not d.intersects(Arc(0.3, 0.9))
 
 
+def _former_arc(start, end):
+    """Arc's endpoints, length and midpoint as it reduced them with
+    ``frac``, or None where it raised."""
+    start, end = float(frac(start)), float(frac(end))
+    length = float(frac(end - start))
+    if not 0.0 < length < 1.0:
+        return None
+    return start, end, length, float(frac(start + 0.5 * length))
+
+
+def _former_intersects(a, b, tol):
+    return bool(frac(b[0] - a[0]) <= a[2] + tol or frac(a[0] - b[0]) <= b[2] + tol)
+
+
+def _former_contains(a, point, tol):
+    return bool(frac(point - a[0]) <= a[2] + tol or frac(a[0] - point) <= tol)
+
+
+def _ulps_from(x, k):
+    """The float k steps of one ulp above x (below for a negative k)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+#: an endpoint or a point: a float in [-2, 2], or a few ulps from a shared base
+ARC_VALUE = st.one_of(st.floats(-2.0, 2.0), st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+# (0.3 - 1 ulp) - 0.3 = -2^-54 reduces to 0.0, not 1.0: the point is in the arc
+@example(0.3, [0, 0.6, -1, 0.9, -1], 0.0, float)
+# a start one ulp below 0 reduces to 0.0
+@example(0.0, [-1, 0.5, 0.25, 0.75, -2], 0.0, np.float64)
+@example(0.2, [1, 0.7, 0, 0.1, -2], 0.0, np.float32)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.lists(ARC_VALUE, min_size=5, max_size=5),
+       st.sampled_from((0.0, 1e-12, 1e-3)), st.sampled_from((float, np.float64, np.float32)))
+def test_arc_matches_the_former_frac_forms(base, values, tol, point_type):
+    """Endpoints, length, midpoint, intersects and contains give the bits
+    and truth values of their former ``frac`` forms, differences within
+    2^-54 below 0 included: an integer k in ``values`` stands for k ulps
+    from base."""
+    s0, e0, s1, e1, p = (_ulps_from(base, v) if isinstance(v, int) else v for v in values)
+    arcs = []
+    for start, end in ((s0, e0), (s1, e1)):
+        former = _former_arc(start, end)
+        if former is None:
+            with pytest.raises(ValueError):
+                Arc(start, end)
+            return
+        arc = Arc(start, end)
+        assert np.array_equal(_bits([arc.start, arc.end, arc.length, arc.midpoint()]),
+                              _bits(former))
+        arcs.append((arc, former))
+    (a, fa), (b, fb) = arcs
+    assert a.intersects(b, tol) == _former_intersects(fa, fb, tol)
+    assert b.intersects(a, tol) == _former_intersects(fb, fa, tol)
+    point = point_type(p)
+    assert a.contains(point, tol) == _former_contains(fa, point, tol)
+    assert b.contains(point, tol) == _former_contains(fb, point, tol)
+
+
 def test_lift_is_degree_one():
     f = _arnold(0.4, 0.6)
     xs = np.linspace(-1.0, 2.0, 101)
