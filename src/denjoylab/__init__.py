@@ -1,8 +1,8 @@
 """Tools for probing when a circle diffeomorphism is conjugate to a rotation.
 
 The package splits into layers.  ``maps`` holds the lift-based circle
-diffeomorphism type and arc arithmetic, ``rotation`` the rotation number
-estimators, and ``catalog`` a set of ready-made maps and interval
+diffeomorphism type and arc arithmetic, ``rotation`` the Birkhoff rotation
+number estimate, and ``catalog`` a set of ready-made maps and interval
 functions.  On top of those, ``variation`` measures total, quadratic and
 second-difference variation, ``crossratio`` tracks cross-ratio distortion
 and its Koebe-style bounds, ``dynamics`` builds semi-conjugacies and
@@ -21,9 +21,8 @@ from .combinatorics import (KoebeConstants, OrbitCombinatorics,
 from .crossratio import (DistortionBreakdown, FourTuple,
                          crd_variation_estimate, cross_ratios,
                          decompose_ab, delta_and_bound,
-                         distortion_under_map, iterate_distortion_bound,
-                         koebe_log_ratio, log_cr_first_quadrature,
-                         term_b_constant)
+                         iterate_distortion_bound, koebe_log_ratio,
+                         log_cr_first_quadrature, term_b_constant)
 from .dynamics import (ConjugacyVerdict, OrbitProfile, SemiConjugacy,
                        WanderingVerdict, build_semiconjugacy,
                        conjugacy_verdict, interval_orbit, omega_gap_profile,
@@ -35,7 +34,7 @@ from .errors import (CollapsedArcError, DegenerateTupleError, DenjoyLabError,
 from .maps import (Arc, CircleDiffeo, LiftValidationReport, arc_image,
                    compose, inverse_eval, orbit_lift, periodic_lift,
                    validate_lift)
-from .rotation import RotationEstimate, birkhoff_estimate, convergent_sequence
+from .rotation import RotationEstimate, birkhoff_estimate
 from .variation import (VariationReport, classify_regularity, holder_bound,
                         log_derivative_function, quadratic_variation,
                         total_variation_estimate, zygmund_norm_estimate,
@@ -75,12 +74,10 @@ __all__ = [
     "classify_regularity",
     "compose",
     "conjugacy_verdict",
-    "convergent_sequence",
     "crd_variation_estimate",
     "cross_ratios",
     "decompose_ab",
     "delta_and_bound",
-    "distortion_under_map",
     "eps_scale",
     "example_function",
     "holder_bound",

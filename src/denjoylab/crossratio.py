@@ -56,9 +56,6 @@ class FourTuple:
         # plain floats: scalar numpy arithmetic costs several times more
         return float(self.a), float(self.b), float(self.c), float(self.d)
 
-    def points(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d])
-
 
 def _second_ratio(a, b, c, d):
     """(c-b)(d-a)/((b-a)(d-c)) on floats or elementwise on arrays."""
@@ -87,26 +84,6 @@ def log_cr_first_quadrature(t: FourTuple) -> float:
                             tol=QUAD_TOL)
 
 
-def _map_points(h, pts: np.ndarray) -> np.ndarray:
-    if isinstance(h, CircleDiffeo):
-        out = h.lift(pts)
-    else:
-        out = np.asarray(h(pts), dtype=float)
-    if not np.all(np.diff(out) > 0):
-        raise NonMonotoneMapError(f"map is not increasing on {tuple(pts)}")
-    return out
-
-
-def distortion_under_map(h, t: FourTuple) -> float:
-    """Ratio of the second cross ratio after applying h to before.
-
-    Equals 1 for affine and Mobius h; h may be a circle diffeomorphism
-    (its lift is used) or any increasing real function.
-    """
-    _, before = cross_ratios(t)
-    return float(_second_ratio(*_map_points(h, t.points())) / before)
-
-
 def koebe_log_ratio(h, x: float, y: float) -> float:
     """log h'(x) + log h'(y) - 2 log[h']_xy on a pair x < y.
 
@@ -117,10 +94,17 @@ def koebe_log_ratio(h, x: float, y: float) -> float:
 
 
 def _lift_pair(h, x: float, y: float) -> tuple[float, float]:
-    """The images h(x), h(y) of a pair x < y, from one two-point lift."""
+    """The images h(x), h(y) of a pair x < y, from one two-point lift of a
+    circle diffeomorphism or one call of an increasing real function."""
     if not x < y:
         raise ValueError(f"need x < y, got {x}, {y}")
-    hx, hy = _map_points(h, np.array([x, y]))
+    pts = np.array([x, y])
+    if isinstance(h, CircleDiffeo):
+        hx, hy = h.lift(pts)
+    else:
+        hx, hy = np.asarray(h(pts), dtype=float)
+    if not hx < hy:
+        raise NonMonotoneMapError(f"map is not increasing on {(x, y)}")
     return float(hx), float(hy)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CollapsedArcError, PeriodicOrbitError
 from .maps import Arc, CircleDiffeo, arc_image, first_overlap, orbit_lift
-from .rotation import PERIOD_TOL, birkhoff_from_orbit
+from .rotation import birkhoff_from_orbit
 from .util import circle_dist, frac
 
 #: target gap below target_factor/n qualifies a knot pair as flat
@@ -34,6 +34,9 @@ DEFAULT_ANCHOR = 0.1234567891
 #: gap within which two scanned images overlap, and length at or below
 #: which an image has contracted, in wandering_verdict
 WANDERING_TOL = 1e-12
+#: distance of a displacement F^q(x) - x to an integer p that counts as a
+#: closed orbit in _detect_period
+PERIOD_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -147,24 +147,22 @@ def inverse_eval(diffeo: CircleDiffeo, y: float) -> float:
     """Solve F(x) = y for the lift F.
 
     Returns ``diffeo.lift_inverse(y)`` when the map carries a closed-form
-    inverse.  Otherwise ``util.solve_increasing`` on [y - 1, y + 1] (valid
-    whenever the displacement F(x) - x stays inside (-1, 1), which holds
-    for every catalog map), widened by one on each side up to four times
-    until it brackets the root, from the start guess 2y - F(y), with
-    Newton steps when the map carries a derivative.
+    inverse.  Otherwise ``util.solve_increasing`` on [g - 1, g + 1] from
+    the start guess g = 2y - F(y), with Newton steps when the map carries
+    a derivative.  The root x has x - g = (F(y) - y) - (F(x) - x), and the
+    displacement F - id of an increasing degree-one lift varies by less
+    than 1, so the bracket holds the root however far the displacement is
+    from 0.  RootFindError when it does not, that is, when F is not such a
+    lift.
     """
     if diffeo.lift_inverse is not None:
         return diffeo.lift_inverse(y)
     lift = diffeo.lift_eval
-    lo, hi = y - 1.0, y + 1.0
-    # widen when the displacement convention pushes the root outside
-    for _ in range(5):
-        if float(lift(lo)) <= y <= float(lift(hi)):
-            break
-        lo, hi = lo - 1.0, hi + 1.0
-    else:
-        raise RootFindError(f"no bracket for F(x) = {y!r} within 5 of it")
-    guess = min(max(2.0 * y - float(lift(y)), lo), hi)
+    guess = 2.0 * y - float(lift(y))
+    lo, hi = guess - 1.0, guess + 1.0
+    if not float(lift(lo)) <= y <= float(lift(hi)):
+        raise RootFindError(f"no bracket for F(x) = {y!r} within 1 of "
+                            f"the guess {guess!r}")
     return solve_increasing(lift, diffeo.lift_derivative, y, lo, hi, guess)
 
 

@@ -130,25 +130,3 @@ def continued_fraction(x: float, max_terms: int = 25) -> list[int]:
         y = 1.0 / rem
     return quotients
 
-
-def convergents_of(x: float, max_terms: int = 20,
-                   q_cap: int = 10 ** 6) -> list[tuple[int, int]]:
-    """Continued-fraction convergents (p, q) of x with strictly increasing q.
-
-    When the first two convergents share q = 1 only the better one is kept,
-    so every returned pair satisfies |x - p/q| < 1/q**2.
-    """
-    qs = continued_fraction(x, max_terms)
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = qs[0], 1
-    out = [(p_cur, q_cur)]
-    for a in qs[1:]:
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
-        if q_cur > q_cap:
-            break
-        if out and q_cur == out[-1][1]:
-            out[-1] = (p_cur, q_cur)
-        else:
-            out.append((p_cur, q_cur))
-    return out

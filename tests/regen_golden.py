@@ -35,6 +35,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAPS = {
     "rigid-0.618": (["kind = rigid", "alpha = 0.618"], []),
     "arnold-0.41-0.6": (["kind = arnold", "alpha = 0.41", "amplitude = 0.6"], []),
+    # the same circle map with its lift shifted by 5: F(x) - x is near 5.41
+    "arnold-5.41-0.6": (["kind = arnold", "alpha = 5.41", "amplitude = 0.6"], []),
     "arnold-0.3-0.3-budget10000": (
         ["kind = arnold", "alpha = 0.3", "amplitude = 0.3"], ["budget = 10000"]),
     "denjoy-sqrt2m1-n30": (["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 30"], []),

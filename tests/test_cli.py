@@ -226,6 +226,16 @@ class TestCombinatoricsPipeline:
         rc, _ = _run(tmp_path, text)
         assert rc == 2
 
+    def test_integer_shifted_lift_pulls_back(self, tmp_path):
+        # alpha = 5.41 is the circle map of alpha = 0.41, with a lift that
+        # moves every point by about 5.41
+        text = ("[experiment]\npipeline = combinatorics\n\n"
+                "[map]\nkind = arnold\nalpha = 5.41\namplitude = 0.6\n")
+        rc, out = _run(tmp_path, text)
+        assert rc == 0
+        cb = json.loads((out / "report.json").read_text())["per_stage"]["combinatorics"]
+        assert cb["max_pullback_multiplicity"] <= cb["multiplicity_bound"]
+
 
 class TestFullCriterion:
     def test_consistency_block(self, tmp_path):

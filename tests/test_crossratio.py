@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from denjoylab import (Arc, DegenerateTupleError, FourTuple, IntervalFunction,
                        arc_image, compose, crd_variation_estimate,
                        cross_ratios, decompose_ab, delta_and_bound,
-                       distortion_under_map, interval_orbit,
-                       iterate_distortion_bound, koebe_log_ratio,
-                       log_cr_first_quadrature, make_map, term_b_constant)
+                       interval_orbit, iterate_distortion_bound,
+                       koebe_log_ratio, log_cr_first_quadrature, make_map,
+                       term_b_constant)
 
 TWO_MINUS_TWO_LOG2 = 2.0 * (1.0 - math.log(2.0))
 
@@ -61,18 +61,6 @@ class TestCrossRatios:
             quad = log_cr_first_quadrature(t)
             assert quad == pytest.approx(math.log(cross_ratios(t)[0]),
                                          abs=1e-10)
-
-
-class TestDistortion:
-    def test_rotation_leaves_ratios_alone(self, golden_rotation):
-        t = FourTuple(0.1, 0.2, 0.35, 0.6)
-        assert distortion_under_map(golden_rotation, t) == pytest.approx(
-            1.0, abs=1e-14)
-
-    def test_nonlinear_map_moves_ratio(self):
-        f = make_map({"kind": "arnold", "alpha": 0.2, "amplitude": 0.8})
-        t = FourTuple(0.1, 0.2, 0.35, 0.6)
-        assert abs(distortion_under_map(f, t) - 1.0) > 1e-3
 
 
 class TestKoebeLogRatio:

@@ -140,6 +140,21 @@ def test_generic_inverse_solves_at_any_scale(kind, alpha, amplitude, with_deriva
     assert abs(f.lift(x) - y) <= 4.0 * np.spacing(max(abs(y), 1.0))
 
 
+@settings(max_examples=200, deadline=None)
+@example("arnold", 0.41, 5, 0.6, True, 0.5984229185852419)
+@given(st.sampled_from(("rigid", "arnold")), st.floats(0.0, 1.0, exclude_max=True),
+       st.integers(-50, 50), st.floats(0.0, 0.999999), st.booleans(),
+       st.floats(-1e9, 1e9))
+def test_generic_inverse_solves_on_integer_shifted_lifts(kind, alpha0, shift, amplitude,
+                                                         with_derivative, y):
+    # the same circle map as at alpha0, with a displacement F - id near shift
+    f = make_map({"kind": kind, "alpha": alpha0 + shift, "amplitude": amplitude})
+    if not with_derivative:
+        f = dataclasses.replace(f, lift_derivative=None)
+    x = inverse_eval(f, y)
+    assert abs(f.lift(x) - y) <= 4.0 * np.spacing(max(abs(y), abs(x), 1.0))
+
+
 def test_orbit_lift_steps_forward():
     f = _arnold(0.41, 0.4)
     lift = orbit_lift(f, 0.2, 10)

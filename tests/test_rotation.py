@@ -1,11 +1,9 @@
-"""Birkhoff rotation-number estimates and their rational certificates."""
+"""The Birkhoff rotation-number estimate and its 2/n error bound."""
 import math
 
-import numpy as np
 import pytest
 
-from denjoylab import (birkhoff_estimate, convergent_sequence, make_map,
-                       orbit_lift)
+from denjoylab import birkhoff_estimate, make_map, orbit_lift
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -34,34 +32,6 @@ def test_error_bound_contains_long_run_reference():
         gap = abs(est.value - reference)
         gap = min(gap, 1.0 - gap)
         assert gap <= est.error_bound
-
-
-def test_convergents_attached_to_estimate(golden_rotation):
-    est = birkhoff_estimate(golden_rotation, 0.0, 5000)
-    qs = [q for _, q in est.convergents]
-    assert qs == sorted(qs)
-    for p, q in est.convergents:
-        assert abs(est.value - p / q) < 1.0 / q**2
-
-
-def test_convergent_sequence_accepts_fibonacci_denominators(golden_rotation):
-    pairs = convergent_sequence(golden_rotation, 60, 0.15)
-    qs = [q for _, q in pairs]
-    assert set(qs) <= {1, 2, 3, 5, 8, 13, 21, 34, 55}
-    assert {5, 8, 13, 21} <= set(qs)
-    # each accepted pair certifies max displacement error below 1/q
-    lift = orbit_lift(golden_rotation, 0.15, 200)
-    for p, q in pairs:
-        disp = lift[q:q + 128] - lift[:128]
-        assert np.max(np.abs(disp - p)) < 1.0 / q
-
-
-def test_convergent_sequence_on_perturbed_map():
-    f = make_map({"kind": "arnold", "alpha": 0.617, "amplitude": 0.3})
-    pairs = convergent_sequence(f, 40, 0.4)
-    assert pairs, "expected at least one certified rational bracket"
-    for p, q in pairs:
-        assert 0 <= p <= q <= 40
 
 
 def test_invalid_budget_rejected(golden_rotation):

@@ -7,8 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from denjoylab import Arc
 from denjoylab.util import (adaptive_simpson, ccw_gap, circle_dist,
-                            continued_fraction, convergents_of, dyadic_grid,
-                            frac)
+                            continued_fraction, dyadic_grid, frac)
 
 
 def test_frac_wraps_into_unit_interval():
@@ -103,12 +102,3 @@ def test_continued_fraction_of_golden_mean_is_all_ones():
     assert terms[0] == 0
     assert all(a == 1 for a in terms[1:])
 
-
-def test_convergents_approximate_to_one_over_q_squared():
-    alpha = math.sqrt(2.0) - 1.0
-    for p, q in convergents_of(alpha, max_terms=12):
-        assert abs(alpha - p / q) < 1.0 / q**2
-    qs = [q for _, q in convergents_of(alpha, max_terms=8)]
-    assert qs == sorted(qs)
-    # Pell denominators 1, 2, 5, 12, 29, ...
-    assert qs[:5] == [1, 2, 5, 12, 29]
