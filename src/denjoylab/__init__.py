@@ -32,8 +32,7 @@ from .errors import (CollapsedArcError, DegenerateTupleError, DenjoyLabError,
                      PeriodicOrbitError, RootFindError,
                      UnresolvedExtremaError)
 from .maps import (Arc, CircleDiffeo, LiftValidationReport, arc_image,
-                   compose, inverse_eval, orbit_lift, periodic_lift,
-                   validate_lift)
+                   compose, inverse_eval, orbit_lift, validate_lift)
 from .rotation import RotationEstimate, birkhoff_estimate
 from .variation import (VariationReport, classify_regularity, holder_bound,
                         log_derivative_function, quadratic_variation,
@@ -94,7 +93,6 @@ __all__ = [
     "natural_neighborhood",
     "omega_gap_profile",
     "orbit_lift",
-    "periodic_lift",
     "predecessor_successor_table",
     "pullback_arcs",
     "quadratic_variation",

@@ -18,13 +18,16 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import NonMonotoneMapError
-from .maps import SCALAR_TYPES, Arc, CircleDiffeo, _store_orbit, periodic_lift
+from .maps import Arc, CircleDiffeo, _store_orbit
 from .util import continued_fraction, frac, solve_increasing
 
 TWO_PI = 2.0 * math.pi
 
 #: series depth used for the tent-sum function when none is requested
 DEFAULT_TENT_DEPTH = 20
+
+#: argument types that the catalog lifts evaluate on plain floats
+SCALAR_TYPES = (float, int, np.floating, np.integer)
 
 #: smallest admissible derivative-profile ratio; below it the quadratic
 #: derivative profile would dip to zero inside a piece
@@ -75,44 +78,49 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
     """Construct a rigid rotation or a sine-perturbed rotation from a
     description with keys ``kind``, ``alpha`` and optional ``amplitude``.
 
-    kind 'rigid':  lift x + alpha.
     kind 'arnold': lift x + alpha + (amplitude / 2 pi) sin(2 pi x), with
     derivative 1 + amplitude cos(2 pi x); amplitude must stay in [0, 1)
     for the lift to remain a diffeomorphism.
+    kind 'rigid': lift x + alpha, the amplitude-0 member whatever
+    ``amplitude`` says; its sine term adds a signed zero.
+    The sine reads x - floor(x) as it rounds (1.0 just below 0, where
+    ``frac`` gives 0.0), so F(x + 1) = F(x) + 1 exactly.  A scalar takes
+    ``math`` on a plain float, repeating the array arithmetic bit for bit;
+    a NaN or infinite one raises from ``math.floor``; an array gives NaN.
     """
     kind = recipe["kind"]
     alpha = float(recipe["alpha"])
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    amplitude = recipe.get("amplitude", 0.0)
     if kind == "rigid":
-        return periodic_lift(lambda u: alpha + 0.0 * u,
-                             lambda u: 0.0 * u,
-                             label=f"rigid({alpha:.10g})")
-    if kind == "arnold":
-        amplitude = float(amplitude)
+        amplitude = 0.0
+        label = f"rigid({alpha:.10g})"
+    elif kind == "arnold":
+        amplitude = float(recipe.get("amplitude", 0.0))
         if not amplitude >= 0.0:
             raise ValueError(f"amplitude must be non-negative, got {amplitude}")
         if amplitude >= 1.0:
             raise NonMonotoneMapError(
                 f"amplitude {amplitude} >= 1: lift derivative reaches zero, "
                 "not a diffeomorphism")
-        scale = amplitude / TWO_PI
+        label = f"arnold({alpha:.10g}, {amplitude:.10g})"
+    else:
+        raise ValueError(f"unknown map kind {kind!r}; expected 'rigid' or 'arnold'")
+    scale = amplitude / TWO_PI
 
-        # periodic_lift hands a scalar argument over as a plain float
-        def displacement(u):
-            if isinstance(u, float):
-                return alpha + scale * math.sin(TWO_PI * u)
-            return alpha + scale * np.sin(TWO_PI * u)
+    def lift(x):
+        if isinstance(x, SCALAR_TYPES):
+            x = float(x)
+            return x + (alpha + scale * math.sin(TWO_PI * (x - math.floor(x))))
+        return x + (alpha + scale * np.sin(TWO_PI * (x - np.floor(x))))
 
-        def displacement_derivative(u):
-            if isinstance(u, float):
-                return amplitude * math.cos(TWO_PI * u)
-            return amplitude * np.cos(TWO_PI * u)
+    def lift_derivative(x):
+        if isinstance(x, SCALAR_TYPES):
+            x = float(x)
+            return 1.0 + amplitude * math.cos(TWO_PI * (x - math.floor(x)))
+        return 1.0 + amplitude * np.cos(TWO_PI * (x - np.floor(x)))
 
-        return periodic_lift(displacement, displacement_derivative,
-                             label=f"arnold({alpha:.10g}, {amplitude:.10g})")
-    raise ValueError(f"unknown map kind {kind!r}; expected 'rigid' or 'arnold'")
+    return CircleDiffeo(lift_eval=lift, lift_derivative=lift_derivative, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ Config layout::
     n = 1000              ; orbit budget where applicable
     budget = 1000         ; conjugacy iterate budget, falls back to n
     depth = 8             ; estimator depth where applicable
-    x0 = 0.3              ; optional start point in place of the anchor
-    function = ex2        ; ex1 | ex2 | ex3 in place of the map's log Df
+    x0 = 0.3              ; optional start point mod 1 in place of the anchor
+    function = ex2        ; variation only: ex1 | ex2 | ex3 in place of log Df
     function_depth = 12   ; depth of that example function
     count = 60            ; combinatorics orbit arcs
     emit_series = true    ; write series_<stage>.csv
@@ -121,9 +121,11 @@ def _parse_config(text: str) -> configparser.ConfigParser:
         raise ConfigError(
             f"config error: unknown pipeline {pipeline!r}; expected one of "
             + ", ".join(PIPELINES))
-    function_only = (pipeline == "variation"
-                     and parser.has_option("experiment", "function"))
-    if not parser.has_section("map") and not function_only:
+    has_function = parser.has_option("experiment", "function")
+    if has_function and pipeline != "variation":
+        raise ConfigError("config error: [experiment] function applies to "
+                          "the variation pipeline only")
+    if not parser.has_section("map") and not has_function:
         raise ConfigError("config error: missing [map] section")
     return parser
 
@@ -349,6 +351,7 @@ def run_experiment(text: str) -> ExperimentReport:
             anchor = cfg.getfloat("experiment", "x0")
             if not np.isfinite(anchor):
                 raise ValueError(f"x0 must be finite, got {anchor}")
+            anchor = float(frac(anchor))
         emit = cfg.getboolean("experiment", "emit_series", fallback=False)
         max_seconds = cfg.getfloat("experiment", "max_seconds",
                                    fallback=np.inf)

@@ -218,7 +218,7 @@ def pullback_arcs(diffeo: CircleDiffeo, arc: Arc, count: int) -> list[Arc]:
     for _ in range(count):
         lo = inverse_eval(diffeo, lo)
         hi = inverse_eval(diffeo, hi)
-        out.append(Arc(float(frac(lo)), float(frac(hi))))
+        out.append(Arc(lo, hi))
     return out
 
 

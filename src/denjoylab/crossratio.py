@@ -100,7 +100,7 @@ def _lift_pair(h, x: float, y: float) -> tuple[float, float]:
         raise ValueError(f"need x < y, got {x}, {y}")
     pts = np.array([x, y])
     if isinstance(h, CircleDiffeo):
-        hx, hy = h.lift(pts)
+        hx, hy = h.lift_eval(pts)
     else:
         hx, hy = np.asarray(h(pts), dtype=float)
     if not hx < hy:
@@ -110,7 +110,8 @@ def _lift_pair(h, x: float, y: float) -> tuple[float, float]:
 
 def _koebe_log_ratio(h, x: float, y: float, hx: float, hy: float) -> float:
     """koebe_log_ratio on x < y from the images hx = h(x) and hy = h(y)."""
-    dx, dy = float(_derivative(h, x)), float(_derivative(h, y))
+    deriv = _derivative(h)
+    dx, dy = float(deriv(x)), float(deriv(y))
     if dx <= 0.0 or dy <= 0.0:
         raise ValueError(f"derivative must be positive, got {dx}, {dy}")
     if not hx < hy:
@@ -191,7 +192,7 @@ def term_b_constant(h, x: float, y: float) -> float:
     ``TERM_B_SAMPLES`` points.
     """
     grid = np.linspace(x, y, TERM_B_SAMPLES)
-    d = np.asarray(_derivative(h, grid), dtype=float)
+    d = np.asarray(_derivative(h)(grid), dtype=float)
     if np.any(d <= 0.0):
         raise ValueError("derivative must be positive on the interval")
     ratio = float(np.max(d) / np.min(d))
@@ -262,7 +263,7 @@ def crd_variation_estimate(f: CircleDiffeo, partition_depth: int) -> float:
         length = 1.0 / cells
         a = np.arange(cells) * length
         d = a + length
-        fa, fd = f.lift(a), f.lift(d)
+        fa, fd = f.lift_eval(a), f.lift_eval(d)
         r = np.random.default_rng(1000 + level).random((CRD_INNER_SAMPLES, 2))
         lo = 0.05 + 0.9 * np.min(r, axis=1)
         hi = 0.052 + 0.9 * np.max(r, axis=1)
@@ -271,7 +272,7 @@ def crd_variation_estimate(f: CircleDiffeo, partition_depth: int) -> float:
         for u, v in pairs:
             b = a + u * length
             c = a + v * length
-            fb, fc = f.lift(b), f.lift(c)
+            fb, fc = f.lift_eval(b), f.lift_eval(c)
             ratio = _second_ratio(fa, fb, fc, fd) / _second_ratio(a, b, c, d)
             np.maximum(cell_best, np.log(ratio), out=cell_best)
         best = max(best, float(np.sum(cell_best)))

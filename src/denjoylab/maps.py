@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CollapsedArcError, NotDifferentiableError, RootFindError
-from .util import adaptive_simpson, frac, solve_increasing
+from .util import adaptive_simpson, solve_increasing
 
 #: default grid size for lift validation
 VALIDATE_GRID = 10_000
@@ -24,8 +24,6 @@ VALIDATE_GRID = 10_000
 VALIDATE_TOL = 1e-8
 #: adaptive-Simpson target for the per-cell integrals of lift validation
 VALIDATE_QUAD_TOL = 1e-12
-#: argument types that periodic_lift and the Denjoy lift evaluate on plain floats
-SCALAR_TYPES = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -101,46 +99,10 @@ class CircleDiffeo:
     label: str = ""
     lift_inverse: Callable | None = None
 
-    def lift(self, x):
-        return self.lift_eval(x)
-
     def derivative(self, x):
         if self.lift_derivative is None:
             raise NotDifferentiableError(f"map {self.label!r} is not C1: no derivative stored")
         return self.lift_derivative(x)
-
-
-def periodic_lift(displacement: Callable, displacement_derivative: Callable | None = None,
-                  label: str = "") -> CircleDiffeo:
-    """Build a lift F(x) = x + g(x - floor(x)) of a period-one displacement g.
-
-    Evaluating g on the fractional part makes F(x + 1) = F(x) + 1 hold to
-    the last bit, not merely to rounding of a transcendental argument.
-    The part is x - floor(x) as it rounds: 1.0 for a negative x within
-    2^-54 of zero, where ``frac`` gives 0.0.  Both are valid for a
-    period-one g, and the scalar path, which iterates orbits, is spared
-    a second reduction.
-    A scalar x (any of ``SCALAR_TYPES``) takes its fractional part with
-    ``math.floor`` and hands g a plain float; g must then repeat its array
-    arithmetic operation for operation, so both paths agree bit for bit.
-    A NaN or infinite scalar therefore raises from ``math.floor``
-    (ValueError, OverflowError), where an array holding one gives NaN.
-    """
-    def lift(x):
-        if isinstance(x, SCALAR_TYPES):
-            x = float(x)
-            return x + displacement(x - math.floor(x))
-        return x + displacement(x - np.floor(x))
-
-    deriv = None
-    if displacement_derivative is not None:
-        def deriv(x):  # noqa: F811 - intentional rebinding
-            if isinstance(x, SCALAR_TYPES):
-                x = float(x)
-                return 1.0 + displacement_derivative(x - math.floor(x))
-            return 1.0 + displacement_derivative(x - np.floor(x))
-
-    return CircleDiffeo(lift_eval=lift, lift_derivative=deriv, label=label)
 
 
 def inverse_eval(diffeo: CircleDiffeo, y: float) -> float:
@@ -226,7 +188,7 @@ def arc_image(diffeo: CircleDiffeo, arc: Arc) -> Arc:
     if hi <= lo:
         raise CollapsedArcError(
             f"image of {arc} collapsed: lift endpoints {lo!r}, {hi!r}")
-    return Arc(float(frac(lo)), float(frac(hi)))
+    return Arc(lo, hi)
 
 
 @dataclass(frozen=True)

@@ -280,15 +280,16 @@ def classify_regularity(f: IntervalFunction, depth: int) -> VariationReport:
                            checks=checks, holder=holder)
 
 
-def _derivative(h, x):
-    """Derivative of a circle diffeomorphism's lift or of a C1 interval
-    function; NotDifferentiableError for anything else."""
+def _derivative(h):
+    """The derivative of a lift or a C1 interval function, as a callable."""
     if isinstance(h, CircleDiffeo):
-        return h.derivative(x)
+        if h.lift_derivative is None:
+            raise NotDifferentiableError(f"map {h.label!r} is not C1: no derivative stored")
+        return h.lift_derivative
     if isinstance(h, IntervalFunction):
         if h.derivative is None:
             raise NotDifferentiableError(f"{h.label or 'function'} has no derivative")
-        return h.derivative(x)
+        return h.derivative
     raise NotDifferentiableError(f"cannot differentiate {h!r}")
 
 
@@ -297,16 +298,18 @@ def log_derivative_function(diffeo, lo: float = 0.0,
     """log of the derivative as an interval function on [lo, hi].
 
     ``diffeo`` is a circle diffeomorphism (its lift derivative is used)
-    or an interval function that carries a derivative.  A float argument
-    is handed to the derivative as it is, so maps with a plain-float
-    derivative path skip the 0-d array; ``np.log`` is kept on both paths
-    because ``math.log`` can differ from it in the last bit.
+    or an interval function that carries a derivative, else
+    NotDifferentiableError.  A float argument is handed to the derivative
+    as it is, so maps with a plain-float derivative path skip the 0-d
+    array; ``np.log`` is kept on both paths because ``math.log`` can
+    differ from it in the last bit.
     """
+    deriv = _derivative(diffeo)
+
     def f(x):
         if isinstance(x, float):
-            return float(np.log(_derivative(diffeo, x)))
-        d = _derivative(diffeo, np.asarray(x, dtype=float))
-        out = np.log(d)
+            return float(np.log(deriv(x)))
+        out = np.log(deriv(np.asarray(x, dtype=float)))
         return float(out) if np.ndim(x) == 0 else out
 
     return IntervalFunction(domain=(float(lo), float(hi)), eval=f,

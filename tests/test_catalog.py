@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from denjoylab import (Arc, CATALOG_ENTRIES, NonMonotoneMapError,
                        example_function, inverse_eval, make_denjoy, make_map,
@@ -12,6 +12,7 @@ from denjoylab import (Arc, CATALOG_ENTRIES, NonMonotoneMapError,
 from denjoylab.util import frac
 
 from _denjoy_reference import find_dust_anchor, piece_table
+from _smooth_reference import make_map as reference_map
 from _orbit_reference import orbit_lift_reference
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -20,13 +21,13 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class TestMakeMap:
     def test_rigid(self):
         f = make_map({"kind": "rigid", "alpha": 0.3})
-        assert float(f.lift(0.9)) == pytest.approx(1.2)
+        assert float(f.lift_eval(0.9)) == pytest.approx(1.2)
         assert float(f.derivative(0.123)) == 1.0
 
     def test_arnold_reduces_to_rigid_at_zero_amplitude(self):
         f = make_map({"kind": "arnold", "alpha": 0.3, "amplitude": 0.0})
         xs = np.linspace(0.0, 1.0, 17)
-        assert np.allclose(f.lift(xs), xs + 0.3)
+        assert np.array_equal(f.lift_eval(xs), xs + 0.3)
 
     def test_arnold_amplitude_bound(self):
         with pytest.raises(NonMonotoneMapError):
@@ -170,7 +171,7 @@ def test_denjoy_base_maps_insertions_forward(denjoy50):
     d = denjoy50
     for k in (0, 1, 5):
         src = d.insertion_arc(k)
-        img_start = frac(d.base.lift(src.start))
+        img_start = frac(d.base.lift_eval(src.start))
         tgt = d.insertion_arc(k + 1)
         assert abs(float(img_start) - tgt.start) < 1e-8 or \
             Arc(tgt.start - 1e-8, tgt.start + 1e-8).contains(float(img_start))
@@ -314,3 +315,51 @@ def test_orbit_lift_matches_array_lift_loop(f, x0, n):
     for _ in range(n):
         ref.append(f.lift_eval(np.array(ref[-1:]))[0])
     assert np.array_equal(orbit_lift(f, x0, n), ref)
+
+
+#: points where x - floor(x) is delicate: both zeros, a negative x whose
+#: fractional part rounds to 1.0, and integers with their one-ulp neighbours
+SMOOTH_EDGE_POINTS = [0.0, -0.0, -2.0 ** -60] + [
+    float(v) for k in range(-3, 4)
+    for v in (k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf))]
+
+
+def _argument_types(xs):
+    """Each point as a float, an np.float64 and a 0-d array, each integral
+    one also as an int and an np.int64, and all of them as 1-d arrays."""
+    out = []
+    for x in xs:
+        out += [x, np.float64(x), np.array(x)]
+        if x == int(x):
+            out += [int(x), np.int64(int(x))]
+    ints = [int(x) for x in xs if x == int(x)]
+    return out + [np.array(xs), np.array(ints, dtype=np.int64)]
+
+
+def _same_bits(a, b):
+    """Both arrays of one shape, or both scalars (a 0-d argument's
+    derivative was a float and is an np.float64), with the same bits."""
+    return (isinstance(a, np.ndarray) == isinstance(b, np.ndarray)
+            and np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64)))
+
+
+@LIFT_PROPERTY
+@example(alpha=0.0, amplitude=0.5, xs=[-2.0 ** -60])
+@given(st.one_of(st.sampled_from((0.0, -0.0)), st.floats(0.0, 1.0, exclude_max=True)),
+       st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+       st.lists(st.floats(-3.0, 3.0), max_size=20))
+def test_smooth_lifts_match_the_two_layer_reference(alpha, amplitude, xs):
+    """make_map's one-layer closures give the bits of the former
+    periodic_lift over displacement closures; rigid ignores the
+    amplitude, and at amplitude 0 the Arnold map is the rigid rotation."""
+    rigid = make_map({"kind": "rigid", "alpha": alpha, "amplitude": amplitude})
+    arnold = make_map({"kind": "arnold", "alpha": alpha, "amplitude": amplitude})
+    pairs = [(rigid, reference_map("rigid", alpha)),
+             (arnold, reference_map("arnold", alpha, amplitude))]
+    if amplitude == 0.0:
+        pairs.append((arnold, pairs[0][1]))
+    with np.errstate(invalid="ignore"):
+        for x in _argument_types(SMOOTH_EDGE_POINTS + xs):
+            for f, ref in pairs:
+                assert _same_bits(f.lift_eval(x), ref.lift_eval(x))
+                assert _same_bits(f.lift_derivative(x), ref.lift_derivative(x))

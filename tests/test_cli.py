@@ -75,6 +75,21 @@ class TestRotationPipeline:
         assert csv[0] == "n,value,bound"
         assert len(csv) > 10
 
+    def test_x0_is_read_as_a_circle_point(self):
+        # at x0 = 1e17 the lift rounds F(x0) back to x0, so an unreduced
+        # start reads rotation number 0 with a false 2/n bound
+        arnold = "[map]\nkind = arnold\nalpha = 0.3\namplitude = 0.5\n"
+
+        def rotation_at(x0):
+            text = f"[experiment]\npipeline = rotation\nn = 1000\nx0 = {x0}\n" + arnold
+            return run_experiment(text).per_stage["rotation"]
+
+        far, near = rotation_at(1e17), rotation_at(0)
+        assert far == near
+        assert far["x0"] == 0.0
+        assert abs(far["value"] - 0.2927) < far["error_bound"]
+        assert rotation_at(-2.75) == rotation_at(0.25)
+
     def test_reports_are_deterministic(self):
         a = run_experiment(ROT).to_dict()
         b = run_experiment(ROT).to_dict()
@@ -321,6 +336,16 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("pipeline",
+                             [p for p in cli.PIPELINES if p != "variation"])
+    def test_function_outside_variation_exits_two(self, tmp_path, capsys, pipeline):
+        text = (f"[experiment]\npipeline = {pipeline}\nfunction = ex1\n"
+                "[map]\nkind = arnold\nalpha = 0.618\namplitude = 0.2\n")
+        rc, _ = _run(tmp_path, text)
+        assert rc == 2
+        assert capsys.readouterr().err == ("config error: [experiment] function "
+                                           "applies to the variation pipeline only\n")
 
     def test_periodic_orbit_still_exits_one(self, tmp_path, capsys,
                                             monkeypatch):

@@ -179,8 +179,8 @@ class TestIterateBound:
         measured, _ = iterate_distortion_bound(base, 30, t, arcs)
         xs, ys = [t.a], [t.d]
         for _ in range(30):
-            xs.append(base.lift(xs[-1]))
-            ys.append(base.lift(ys[-1]))
+            xs.append(base.lift_eval(xs[-1]))
+            ys.append(base.lift_eval(ys[-1]))
         expected = 0.0
         for i in range(30):
             dx = float(base.derivative(xs[i]))

@@ -95,7 +95,7 @@ class TestSemiConjugacy:
         n = 500
         semi = build_semiconjugacy(golden_rotation, 0.1, n)
         for x in (0.1, float(frac(0.1 + GOLDEN)), 0.55):
-            lhs = semi.interpolant(float(golden_rotation.lift(x)))
+            lhs = semi.interpolant(float(golden_rotation.lift_eval(x)))
             rhs = semi.interpolant(x) + semi.alpha
             assert circle_dist(lhs, rhs) <= semi.defect + 1e-9
 

@@ -1,4 +1,5 @@
 """Total, Zygmund and quadratic variation estimators."""
+import dataclasses
 import math
 
 import numpy as np
@@ -277,5 +278,11 @@ class TestLogDerivativeInput:
         f = log_derivative_function(sq, 1.0, 2.0)
         assert f.label == "log deriv of sq"
         assert f(1.5) == math.log(3.0)
-        with pytest.raises(NotDifferentiableError):
-            log_derivative_function(_fn(abs, "abs"))(0.5)
+
+    def test_missing_derivative_raises_when_built(self):
+        with pytest.raises(NotDifferentiableError, match="^abs has no derivative$"):
+            log_derivative_function(_fn(abs, "abs"))
+        rigid = make_map({"kind": "rigid", "alpha": 0.3})
+        with pytest.raises(NotDifferentiableError,
+                           match=r"^map 'rigid\(0.3\)' is not C1: no derivative stored$"):
+            log_derivative_function(dataclasses.replace(rigid, lift_derivative=None))
