@@ -34,6 +34,8 @@ ARC_BUDGET_DEPTH = 7
 TERM_B_SAMPLES = 257
 #: seeded random inner pairs per level in crd_variation_estimate
 CRD_INNER_SAMPLES = 8
+#: points per lift call in crd_variation_estimate (256 KiB of floats)
+CRD_BATCH_POINTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -226,8 +228,9 @@ def iterate_distortion_bound(h: CircleDiffeo, n: int, t: FourTuple,
     measured = 0.0
     for i in range(n):
         measured += _koebe_log_ratio(h, xs[i], ys[i], xs[i + 1], ys[i + 1])
-    direct = (sum(math.log(float(h.derivative(xs[i]))) for i in range(n))
-              + sum(math.log(float(h.derivative(ys[i]))) for i in range(n))
+    deriv = _derivative(h)
+    direct = (sum(math.log(float(deriv(xs[i]))) for i in range(n))
+              + sum(math.log(float(deriv(ys[i]))) for i in range(n))
               - 2.0 * math.log((ys[n] - xs[n]) / (y - x)))
     if abs(direct - measured) > 1e-8:
         raise ArithmeticError(
@@ -254,6 +257,16 @@ def crd_variation_estimate(f: CircleDiffeo, partition_depth: int) -> float:
     the largest log distortion over inner pairs (the trisection pair plus
     ``CRD_INNER_SAMPLES`` random pairs seeded by the level); the estimate
     is the best level sum, hence non-decreasing in depth.
+
+    Each level lifts the cell ends in one array call, then the inner
+    points of whole pairs in calls of at most ``CRD_BATCH_POINTS`` points
+    (one pair's 2 * cells when that is more): levels up to 10 take two
+    calls.  The bound keeps a call's points (256 KiB) within L2 cache and
+    the memory of a deep level at that of one pair; all pairs of a
+    2^18-cell level in one call would hold 36 MiB of points before the
+    lift's own temporaries.  Every ratio and log is elementwise and the pairs fold
+    into the cell maxima in order, trisection first, so the estimate does
+    not depend on how the points are split into calls.
     """
     if partition_depth < 1:
         raise ValueError(f"partition_depth must be >= 1, got {partition_depth}")
@@ -263,17 +276,19 @@ def crd_variation_estimate(f: CircleDiffeo, partition_depth: int) -> float:
         length = 1.0 / cells
         a = np.arange(cells) * length
         d = a + length
-        fa, fd = f.lift_eval(a), f.lift_eval(d)
+        fa, fd = np.asarray(f.lift_eval(np.concatenate([a, d]))).reshape(2, cells)
         r = np.random.default_rng(1000 + level).random((CRD_INNER_SAMPLES, 2))
         lo = 0.05 + 0.9 * np.min(r, axis=1)
         hi = 0.052 + 0.9 * np.max(r, axis=1)
-        pairs = [(1.0 / 3.0, 2.0 / 3.0)] + list(zip(lo, hi))
+        # offsets of b (row 0) and c (row 1) from a, trisection pair first
+        offsets = np.array([[1.0 / 3.0, *lo], [2.0 / 3.0, *hi]]) * length
+        per_call = max(1, CRD_BATCH_POINTS // (2 * cells))
         cell_best = np.zeros(cells)
-        for u, v in pairs:
-            b = a + u * length
-            c = a + v * length
-            fb, fc = f.lift_eval(b), f.lift_eval(c)
+        for start in range(0, offsets.shape[1], per_call):
+            b, c = inner = a + offsets[:, start:start + per_call, None]
+            fb, fc = np.asarray(f.lift_eval(inner.ravel())).reshape(inner.shape)
             ratio = _second_ratio(fa, fb, fc, fd) / _second_ratio(a, b, c, d)
-            np.maximum(cell_best, np.log(ratio), out=cell_best)
+            for log_ratio in np.log(ratio):
+                np.maximum(cell_best, log_ratio, out=cell_best)
         best = max(best, float(np.sum(cell_best)))
     return best

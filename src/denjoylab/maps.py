@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CollapsedArcError, NotDifferentiableError, RootFindError
+from .errors import CollapsedArcError, RootFindError
 from .util import adaptive_simpson, solve_increasing
 
 #: default grid size for lift validation
@@ -98,11 +98,6 @@ class CircleDiffeo:
     lift_derivative: Callable | None = None
     label: str = ""
     lift_inverse: Callable | None = None
-
-    def derivative(self, x):
-        if self.lift_derivative is None:
-            raise NotDifferentiableError(f"map {self.label!r} is not C1: no derivative stored")
-        return self.lift_derivative(x)
 
 
 def inverse_eval(diffeo: CircleDiffeo, y: float) -> float:

@@ -1,6 +1,6 @@
-"""Shared fixtures: one truncated wandering-interval map and one rigid rotation,
-and ``counting_lift`` and ``count_lift_in_place``, which count a map's lift
-evaluations.
+"""Shared fixtures: one truncated wandering-interval map and one rigid rotation;
+``counting_lift`` and ``count_lift_in_place``, which count a map's lift
+evaluations; and the Hypothesis strategy ``accepted_denjoy``.
 
 Hypothesis draws fresh examples on every local run.  With
 ``HYPOTHESIS_PROFILE=ci`` (set by the CI workflow) it derandomizes, so a
@@ -11,7 +11,7 @@ import math
 import os
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings, strategies as st
 
 from denjoylab import make_denjoy, make_map
 
@@ -60,3 +60,21 @@ def count_lift_in_place(diffeo):
 
     object.__setattr__(diffeo, "lift_eval", counted)
     return calls
+
+
+@st.composite
+def accepted_denjoy_parameters(draw):
+    """Random (alpha, N, mass) that make_denjoy accepts, with its map."""
+    alpha = draw(st.floats(0.02, 0.98))
+    n = draw(st.integers(10, 120))
+    mass = draw(st.floats(0.02, 0.95))
+    try:
+        return alpha, n, mass, make_denjoy(alpha, N=n, mass=mass)
+    except (ValueError, RuntimeError):
+        # parameters rejected, or no dust anchor found for them
+        assume(False)
+
+
+def accepted_denjoy():
+    """A make_denjoy map over random (alpha, N, mass) that it accepts."""
+    return accepted_denjoy_parameters().map(lambda drawn: drawn[3])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from denjoylab import (Arc, CATALOG_ENTRIES, NonMonotoneMapError,
                        example_function, inverse_eval, make_denjoy, make_map,
@@ -14,6 +14,7 @@ from denjoylab.util import frac
 from _denjoy_reference import find_dust_anchor, piece_table
 from _smooth_reference import make_map as reference_map
 from _orbit_reference import orbit_lift_reference
+from conftest import accepted_denjoy, accepted_denjoy_parameters
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -22,7 +23,7 @@ class TestMakeMap:
     def test_rigid(self):
         f = make_map({"kind": "rigid", "alpha": 0.3})
         assert float(f.lift_eval(0.9)) == pytest.approx(1.2)
-        assert float(f.derivative(0.123)) == 1.0
+        assert float(f.lift_derivative(0.123)) == 1.0
 
     def test_arnold_reduces_to_rigid_at_zero_amplitude(self):
         f = make_map({"kind": "arnold", "alpha": 0.3, "amplitude": 0.0})
@@ -175,24 +176,6 @@ def test_denjoy_base_maps_insertions_forward(denjoy50):
         tgt = d.insertion_arc(k + 1)
         assert abs(float(img_start) - tgt.start) < 1e-8 or \
             Arc(tgt.start - 1e-8, tgt.start + 1e-8).contains(float(img_start))
-
-
-@st.composite
-def accepted_denjoy_parameters(draw):
-    """Random (alpha, N, mass) that make_denjoy accepts, with its map."""
-    alpha = draw(st.floats(0.02, 0.98))
-    n = draw(st.integers(10, 120))
-    mass = draw(st.floats(0.02, 0.95))
-    try:
-        return alpha, n, mass, make_denjoy(alpha, N=n, mass=mass)
-    except (ValueError, RuntimeError):
-        # parameters rejected, or no dust anchor found for them
-        assume(False)
-
-
-def accepted_denjoy():
-    """A make_denjoy map over random (alpha, N, mass) that it accepts."""
-    return accepted_denjoy_parameters().map(lambda drawn: drawn[3])
 
 
 def _piece_knots(d):

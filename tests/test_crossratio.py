@@ -1,6 +1,7 @@
 """Cross ratios, their log identity and distortion bounds."""
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from denjoylab import (Arc, DegenerateTupleError, FourTuple, IntervalFunction,
                        interval_orbit, iterate_distortion_bound,
                        koebe_log_ratio, log_cr_first_quadrature, make_map,
                        term_b_constant)
+from denjoylab.crossratio import CRD_BATCH_POINTS
+
+from _crd_reference import crd_variation_reference
+from conftest import accepted_denjoy, count_lift_in_place
 
 TWO_MINUS_TWO_LOG2 = 2.0 * (1.0 - math.log(2.0))
 
@@ -183,8 +188,8 @@ class TestIterateBound:
             ys.append(base.lift_eval(ys[-1]))
         expected = 0.0
         for i in range(30):
-            dx = float(base.derivative(xs[i]))
-            dy = float(base.derivative(ys[i]))
+            dx = float(base.lift_derivative(xs[i]))
+            dy = float(base.lift_derivative(ys[i]))
             quotient = (ys[i + 1] - xs[i + 1]) / (ys[i] - xs[i])
             expected += math.log(dx) + math.log(dy) - 2.0 * math.log(quotient)
         assert measured == expected
@@ -206,6 +211,62 @@ class TestCrdVariation:
         d7 = crd_variation_estimate(f, 7)
         assert d6 > 0.0
         assert abs(d7 - d6) <= 0.05 * d6
+
+    def test_matches_the_former_loop_at_the_estimators_depth(self, denjoy50):
+        # the estimators benchmark runs crd at depth 13 on this map, where
+        # each lift call holds two inner pairs
+        got = crd_variation_estimate(denjoy50.base, 13)
+        assert _bits(got) == _bits(crd_variation_reference(denjoy50.base, 13))
+
+    def test_lift_calls_are_bounded_arrays_of_the_former_points(self):
+        recipe = {"kind": "arnold", "alpha": 0.41, "amplitude": 0.6}
+        new = _lift_calls_by_level(crd_variation_estimate, make_map(recipe), 13)
+        old = _lift_calls_by_level(crd_variation_reference, make_map(recipe), 13)
+        for level, (calls, former) in enumerate(zip(new, old), start=1):
+            cells = 2 ** level
+            assert all(isinstance(x, np.ndarray) and x.ndim == 1 for x in calls)
+            assert max(x.size for x in calls) <= max(CRD_BATCH_POINTS, 2 * cells)
+            assert np.array_equal(np.sort(np.concatenate(calls)),
+                                  np.sort(np.concatenate(former)))
+            if level <= 10:
+                assert len(calls) == 2
+        # at level 13 the cell ends take one call and the nine inner pairs
+        # go two by two, in pair order
+        assert [x.size // 2 ** 13 for x in new[-1]] == [2, 4, 4, 4, 4, 2]
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _lift_calls_by_level(estimate, f, depth):
+    """The arrays ``estimate`` hands f's lift at each level up to depth:
+    level L's calls are those of ``estimate(f, L)`` after those of
+    ``estimate(f, L - 1)``."""
+    calls = count_lift_in_place(f)
+    by_level, before = [], 0
+    for level in range(1, depth + 1):
+        calls.clear()
+        estimate(f, level)
+        by_level.append(calls[before:])
+        before = len(calls)
+    return by_level
+
+
+CRD_MAPS = st.one_of(
+    st.builds(lambda alpha, amplitude: make_map(
+        {"kind": "arnold", "alpha": alpha, "amplitude": amplitude}),
+        st.floats(-1.0, 2.0), st.one_of(st.just(0.0), st.floats(0.0, 0.95))),
+    st.builds(lambda alpha: make_map({"kind": "rigid", "alpha": alpha}),
+              st.floats(-1.0, 2.0)),
+    accepted_denjoy().map(lambda denjoy: denjoy.base))
+
+
+@settings(max_examples=60, deadline=None)
+@given(CRD_MAPS, st.integers(1, 11))
+def test_crd_matches_the_former_per_pair_loop(f, depth):
+    assert _bits(crd_variation_estimate(f, depth)) == \
+        _bits(crd_variation_reference(f, depth))
 
 
 @settings(max_examples=25, deadline=None)

@@ -119,7 +119,7 @@ def test_lift_is_degree_one():
     f = _arnold(0.4, 0.6)
     xs = np.linspace(-1.0, 2.0, 101)
     assert np.allclose(f.lift_eval(xs + 1.0), f.lift_eval(xs) + 1.0, atol=1e-12)
-    assert np.all(f.derivative(xs) > 0.0)
+    assert np.all(f.lift_derivative(xs) > 0.0)
 
 
 def test_inverse_eval_roundtrip():

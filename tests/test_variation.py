@@ -271,7 +271,7 @@ class TestLogDerivativeInput:
         f = log_derivative_function(g)
         xs = np.linspace(0.0, 1.0, 33)
         assert np.allclose(np.asarray(f.eval(xs)),
-                           np.log(np.asarray(g.derivative(xs))), atol=1e-12)
+                           np.log(np.asarray(g.lift_derivative(xs))), atol=1e-12)
 
     def test_interval_function_input(self):
         sq = _fn(lambda x: x * x, "sq", 1.0, 2.0, deriv=lambda x: 2.0 * x)
