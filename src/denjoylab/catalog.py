@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -136,10 +137,17 @@ class DenjoyMap:
     sitting at circle angle frac(n * alpha) of the reference rotation.
     ``cantor_anchor`` is a point of the complementary (dust) set whose
     forward orbit was checked to stay clear of every insertion for at
-    least ``anchor_budget`` iterates.  ``make_denjoy`` leaves that orbit,
-    ``anchor_budget`` + 1 steps, in ``maps.orbit_lift``'s slot under
-    ``base`` and the anchor, so the first ``orbit_lift`` of ``base`` from
-    ``cantor_anchor`` reads it and iterates only the steps past its end.
+    least ``anchor_budget`` iterates.  The build does not screen for it:
+    the first read of ``cantor_anchor`` runs ``_find_dust_anchor`` and
+    leaves the screened orbit, ``anchor_budget`` + 1 steps, in
+    ``maps.orbit_lift``'s slot under ``base`` and the anchor, so the next
+    ``orbit_lift`` of ``base`` from ``cantor_anchor`` reads it and
+    iterates only the steps past its end.  A map whose screen finds no
+    anchor (the golden mean at N <= 50) builds, but that first read raises
+    ``RuntimeError``.  ``_screen(budget)`` runs the screen on the build's
+    own piece table; it is an init field, so a ``dataclasses.replace`` copy
+    screens again on its first read and stores the orbit under its own
+    ``base``.
     """
 
     base: CircleDiffeo
@@ -148,8 +156,14 @@ class DenjoyMap:
     inserted_lengths: tuple[float, ...]
     truncation: int
     insertion_arcs: tuple[Arc, ...]
-    cantor_anchor: float
     anchor_budget: int
+    _screen: Callable[[int], list[float]] = field(compare=False, repr=False)
+
+    @cached_property
+    def cantor_anchor(self) -> float:
+        orbit = self._screen(self.anchor_budget)
+        _store_orbit(self.base, orbit)
+        return orbit[0]
 
     def insertion_length(self, n: int) -> float:
         return self.inserted_lengths[n + self.truncation]
@@ -336,10 +350,9 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
 
     insertion_arcs = tuple(Arc(start, end) for start, end in zip(
         start_by_index.tolist(), (start_by_index + lengths).tolist()))
-    anchor_budget = 1100
-    orbit = _find_dust_anchor(step, dust_position, anchor_budget)
-    _store_orbit(base, orbit)
-    anchor = orbit[0]
+
+    def screen(budget: int) -> list[float]:
+        return _find_dust_anchor(step, dust_position, budget)
 
     return DenjoyMap(
         base=base,
@@ -348,8 +361,8 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
         inserted_lengths=tuple(float(v) for v in lengths),
         truncation=N,
         insertion_arcs=insertion_arcs,
-        cantor_anchor=anchor,
-        anchor_budget=anchor_budget,
+        anchor_budget=1100,
+        _screen=screen,
     )
 
 

@@ -12,10 +12,11 @@ Config layout::
                combinatorics | full-criterion
     n = 1000              ; orbit budget where applicable
     budget = 1000         ; conjugacy iterate budget, falls back to n
-    depth = 8             ; estimator depth where applicable
+    depth = 8             ; estimator depth where applicable, <= MAX_DEPTH
     x0 = 0.3              ; optional start point mod 1 in place of the anchor
     function = ex2        ; variation only: ex1 | ex2 | ex3 in place of log Df
-    function_depth = 12   ; depth of that example function
+    function_depth = 12   ; depth of that example function,
+                          ; <= MAX_FUNCTION_DEPTH
     count = 60            ; combinatorics orbit arcs
     emit_series = true    ; write series_<stage>.csv
     max_seconds = 120     ; optional wall budget > 0, report flagged
@@ -67,6 +68,18 @@ from .variation import (classify_regularity, log_derivative_function,
 SCHEMA_VERSION = 2
 PIPELINES = ("rotation", "variation", "crossratio", "conjugacy",
              "combinatorics", "full-criterion")
+
+#: largest [experiment] depth: up to it no estimator array passes 2^25
+#: floats (256 MiB).  The variation pipeline samples grids of up to
+#: 2^(depth + 6) cells (its deepest QV retry), one float each; the
+#: crossratio pipeline builds 9 * 2^depth four-tuples, 36 * 2^depth floats,
+#: at its last level.
+MAX_DEPTH = 19
+#: largest [experiment] function_depth: a layer of an example function
+#: deeper than the finest grid at MAX_DEPTH is zero on every grid point
+MAX_FUNCTION_DEPTH = MAX_DEPTH + 6
+#: [experiment] key -> the largest value a config may set
+DEPTH_LIMITS = {"depth": MAX_DEPTH, "function_depth": MAX_FUNCTION_DEPTH}
 
 
 class ConfigError(DenjoyLabError):
@@ -131,7 +144,7 @@ def _parse_config(text: str) -> configparser.ConfigParser:
 
 
 def _build_target(cfg: configparser.ConfigParser):
-    """Returns (map object, plain diffeo, anchor point)."""
+    """Returns (map object, plain diffeo)."""
     kind = cfg.get("map", "kind", fallback=None)
     if kind is None:
         raise ConfigError("config error: [map] needs a kind key")
@@ -141,14 +154,14 @@ def _build_target(cfg: configparser.ConfigParser):
                                  N=cfg.getint("map", "N", fallback=50),
                                  mass=cfg.getfloat("map", "mass",
                                                    fallback=0.5))
-            return target, target.base, float(target.cantor_anchor)
+            return target, target.base
         if kind in ("rigid", "arnold"):
             recipe = {"kind": kind, "alpha": cfg.getfloat("map", "alpha")}
             if kind == "arnold":
                 recipe["amplitude"] = cfg.getfloat("map", "amplitude",
                                                    fallback=0.0)
             target = make_map(recipe)
-            return target, target, DEFAULT_ANCHOR
+            return target, target
     except (ValueError, KeyError, configparser.Error) as err:
         raise ConfigError(f"config error in [map]: {err}") from err
     raise ConfigError(f"config error: unknown map kind {kind!r}")
@@ -158,8 +171,17 @@ def _qualifier(**kv) -> str:
     return ", ".join(f"{k}={v}" for k, v in kv.items())
 
 
-def _stage_rotation(report, target, diffeo, anchor, cfg):
+def _start(target, x0):
+    """The orbit start: [experiment] x0 when set, else the map's anchor.
+    A Denjoy map screens for its ``cantor_anchor`` on the first read."""
+    if x0 is not None:
+        return x0
+    return float(getattr(target, "cantor_anchor", DEFAULT_ANCHOR))
+
+
+def _stage_rotation(report, target, diffeo, x0, cfg):
     n = cfg.getint("experiment", "n", fallback=1000)
+    anchor = _start(target, x0)
     lift = orbit_lift(diffeo, anchor, n)
     est = birkhoff_from_orbit(lift, n)
     report.per_stage["rotation"] = {
@@ -185,7 +207,7 @@ def _variation_input(diffeo, cfg):
     return log_derivative_function(diffeo)
 
 
-def _stage_variation(report, target, diffeo, anchor, cfg):
+def _stage_variation(report, target, diffeo, x0, cfg):
     depth = cfg.getint("experiment", "depth", fallback=8)
     f = _variation_input(diffeo, cfg)
     rep = classify_regularity(f, depth)
@@ -211,7 +233,7 @@ def _stage_variation(report, target, diffeo, anchor, cfg):
     ]
 
 
-def _stage_crossratio(report, target, diffeo, anchor, cfg):
+def _stage_crossratio(report, target, diffeo, x0, cfg):
     depth = cfg.getint("experiment", "depth", fallback=5)
     est = crd_variation_estimate(diffeo, partition_depth=depth)
     k3 = term_b_constant(diffeo, 0.1, 0.35)
@@ -226,14 +248,14 @@ def _stage_crossratio(report, target, diffeo, anchor, cfg):
     })
 
 
-def _stage_conjugacy(report, target, diffeo, anchor, cfg):
+def _stage_conjugacy(report, target, diffeo, x0, cfg):
     budget = cfg.getint("experiment", "budget",
                         fallback=cfg.getint("experiment", "n",
                                             fallback=1000))
     verdict = conjugacy_verdict(target, budget)
     prof = verdict.profile
-    if cfg.has_option("experiment", "x0"):
-        prof = omega_gap_profile(diffeo, anchor, budget)
+    if x0 is not None:
+        prof = omega_gap_profile(diffeo, x0, budget)
     metrics = {
         "kind": verdict.kind,
         "detail": verdict.detail,
@@ -257,11 +279,11 @@ def _stage_conjugacy(report, target, diffeo, anchor, cfg):
     ]
 
 
-def _stage_combinatorics(report, target, diffeo, anchor, cfg):
+def _stage_combinatorics(report, target, diffeo, x0, cfg):
     count = cfg.getint("experiment", "count", fallback=60)
     base_arc = getattr(target, "wandering_arc", None)
     if base_arc is None:
-        pts = frac(orbit_lift(diffeo, anchor, count))
+        pts = frac(orbit_lift(diffeo, _start(target, x0), count))
         sorted_pts = np.sort(pts)
         gaps = np.diff(np.concatenate([sorted_pts, [sorted_pts[0] + 1.0]]))
         if float(gaps.min()) < 1e-12:
@@ -298,10 +320,10 @@ def _stage_combinatorics(report, target, diffeo, anchor, cfg):
     })
 
 
-def _stage_full(report, target, diffeo, anchor, cfg):
-    _stage_crossratio(report, target, diffeo, anchor, cfg)
-    _stage_variation(report, target, diffeo, anchor, cfg)
-    _stage_conjugacy(report, target, diffeo, anchor, cfg)
+def _stage_full(report, target, diffeo, x0, cfg):
+    _stage_crossratio(report, target, diffeo, x0, cfg)
+    _stage_variation(report, target, diffeo, x0, cfg)
+    _stage_conjugacy(report, target, diffeo, x0, cfg)
     var = report.per_stage["variation"]
     finite_evidence = (not var["diverging"].get("zv", True)
                        and var["qv"] is not None)
@@ -336,29 +358,34 @@ def run_experiment(text: str) -> ExperimentReport:
 
     The library rejects a bad parameter with ValueError, so one raised
     while reading [experiment] values or running the pipeline on them
-    becomes a ConfigError.
+    becomes a ConfigError, as does a depth over its ``DEPTH_LIMITS`` entry.
     """
     cfg = _parse_config(text)
     pipeline = cfg.get("experiment", "pipeline")
     echo = {s: dict(cfg.items(s)) for s in cfg.sections()}
     report = ExperimentReport(config_echo=echo)
     if cfg.has_section("map"):
-        target, diffeo, anchor = _build_target(cfg)
+        target, diffeo = _build_target(cfg)
     else:
-        target, diffeo, anchor = None, None, DEFAULT_ANCHOR
+        target, diffeo = None, None
+    x0 = None
     try:
+        for key, limit in DEPTH_LIMITS.items():
+            value = cfg.getint("experiment", key, fallback=0)
+            if value > limit:
+                raise ValueError(f"{key} must be <= {limit}, got {value}")
         if cfg.has_option("experiment", "x0"):
-            anchor = cfg.getfloat("experiment", "x0")
-            if not np.isfinite(anchor):
-                raise ValueError(f"x0 must be finite, got {anchor}")
-            anchor = float(frac(anchor))
+            x0 = cfg.getfloat("experiment", "x0")
+            if not np.isfinite(x0):
+                raise ValueError(f"x0 must be finite, got {x0}")
+            x0 = float(frac(x0))
         emit = cfg.getboolean("experiment", "emit_series", fallback=False)
         max_seconds = cfg.getfloat("experiment", "max_seconds",
                                    fallback=np.inf)
         if not max_seconds > 0.0:
             raise ValueError(f"max_seconds must be > 0, got {max_seconds}")
         t0 = time.monotonic()
-        _STAGES[pipeline](report, target, diffeo, anchor, cfg)
+        _STAGES[pipeline](report, target, diffeo, x0, cfg)
         elapsed = time.monotonic() - t0
     except ValueError as err:
         raise ConfigError(f"config error in [experiment]: {err}") from err

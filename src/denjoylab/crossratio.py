@@ -267,6 +267,9 @@ def crd_variation_estimate(f: CircleDiffeo, partition_depth: int) -> float:
     lift's own temporaries.  Every ratio and log is elementwise and the pairs fold
     into the cell maxima in order, trisection first, so the estimate does
     not depend on how the points are split into calls.
+
+    NonMonotoneMapError when a ratio at some level is not positive, NaN
+    included: the map then folds some cell's points out of order.
     """
     if partition_depth < 1:
         raise ValueError(f"partition_depth must be >= 1, got {partition_depth}")
@@ -288,6 +291,11 @@ def crd_variation_estimate(f: CircleDiffeo, partition_depth: int) -> float:
             b, c = inner = a + offsets[:, start:start + per_call, None]
             fb, fc = np.asarray(f.lift_eval(inner.ravel())).reshape(inner.shape)
             ratio = _second_ratio(fa, fb, fc, fd) / _second_ratio(a, b, c, d)
+            # a NaN log would drop out of the maxima and the level sum
+            if not np.all(ratio > 0.0):
+                raise NonMonotoneMapError(
+                    f"cross ratio distortion at level {level} is not positive: "
+                    "the map is not an increasing lift")
             for log_ratio in np.log(ratio):
                 np.maximum(cell_best, log_ratio, out=cell_best)
         best = max(best, float(np.sum(cell_best)))

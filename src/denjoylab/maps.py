@@ -139,9 +139,10 @@ def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
     last point, so the result is bit for bit the orbit a fresh loop gives.
     Each call returns a new array; the slot is replaced, never changed in
     place, so a caller, or another thread, cannot alter a stored orbit.
-    ``catalog.make_denjoy`` fills the slot with the orbit it screened for
-    its anchor, so the first call on a new Denjoy map from its
-    ``cantor_anchor`` iterates only past ``anchor_budget`` + 1 steps.
+    The first read of a Denjoy map's ``cantor_anchor`` fills the slot with
+    the orbit it screened for that anchor, so the next call on the map's
+    ``base`` from ``cantor_anchor`` iterates only past ``anchor_budget`` +
+    1 steps.
     """
     global _last_orbit
     if n < 0:

@@ -1,6 +1,7 @@
 """Shared fixtures: one truncated wandering-interval map and one rigid rotation;
 ``counting_lift`` and ``count_lift_in_place``, which count a map's lift
-evaluations; and the Hypothesis strategy ``accepted_denjoy``.
+evaluations; and the Hypothesis strategies ``accepted_denjoy`` and
+``anchored_denjoy``.
 
 Hypothesis draws fresh examples on every local run.  With
 ``HYPOTHESIS_PROFILE=ci`` (set by the CI workflow) it derandomizes, so a
@@ -70,11 +71,30 @@ def accepted_denjoy_parameters(draw):
     mass = draw(st.floats(0.02, 0.95))
     try:
         return alpha, n, mass, make_denjoy(alpha, N=n, mass=mass)
-    except (ValueError, RuntimeError):
-        # parameters rejected, or no dust anchor found for them
+    except ValueError:
         assume(False)
 
 
 def accepted_denjoy():
     """A make_denjoy map over random (alpha, N, mass) that it accepts."""
     return accepted_denjoy_parameters().map(lambda drawn: drawn[3])
+
+
+def _finds_anchor(drawn):
+    try:
+        drawn[3].cantor_anchor
+    except RuntimeError:
+        return False
+    return True
+
+
+def anchored_denjoy_parameters():
+    """``accepted_denjoy_parameters`` whose map's screen finds a dust
+    anchor.  The draw reads ``cantor_anchor``, so the screened orbit sits
+    in ``orbit_lift``'s slot when the test starts."""
+    return accepted_denjoy_parameters().filter(_finds_anchor)
+
+
+def anchored_denjoy():
+    """An ``accepted_denjoy`` map whose anchor has been read."""
+    return anchored_denjoy_parameters().map(lambda drawn: drawn[3])

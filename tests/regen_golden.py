@@ -42,7 +42,8 @@ MAPS = {
     "denjoy-sqrt2m1-n30": (["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 30"], []),
     "denjoy-sqrt2m1-n50": (["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 50"], []),
     "denjoy-sqrt2m1-n100": (["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 100"], []),
-    # make_denjoy's dust-anchor search fails here with a RuntimeError
+    # the dust-anchor screen fails here: pipelines that read the anchor
+    # raise a RuntimeError, the others report
     "denjoy-golden-n30": (["kind = denjoy", f"alpha = {GOLDEN!r}", "N = 30"], []),
 }
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from denjoylab import (Arc, CATALOG_ENTRIES, NonMonotoneMapError,
+from denjoylab import (Arc, CATALOG_ENTRIES, NonMonotoneMapError, catalog,
                        example_function, inverse_eval, make_denjoy, make_map,
                        orbit_lift, takagi_total_variation, validate_lift)
 from denjoylab.util import frac
@@ -14,7 +14,8 @@ from denjoylab.util import frac
 from _denjoy_reference import find_dust_anchor, piece_table
 from _smooth_reference import make_map as reference_map
 from _orbit_reference import orbit_lift_reference
-from conftest import accepted_denjoy, accepted_denjoy_parameters
+from conftest import (accepted_denjoy, anchored_denjoy,
+                      anchored_denjoy_parameters, counting_lift)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -110,9 +111,11 @@ class TestDenjoy:
 
     def test_golden_mean_finds_no_dust_anchor(self):
         # a known defect, pinned at N = 30 by the golden reports; the
-        # benchmark labels it by this exception type
+        # benchmark labels it by this exception type.  The map builds; the
+        # first read of its anchor screens and raises.
+        d = make_denjoy(GOLDEN, N=50, mass=0.5)
         with pytest.raises(RuntimeError) as err:
-            make_denjoy(GOLDEN, N=50, mass=0.5)
+            d.cantor_anchor
         assert type(err.value) is RuntimeError
         assert str(err.value) == "no dust anchor found clear of insertions for 1100 steps"
 
@@ -232,7 +235,7 @@ def test_denjoy_inverse_agrees_with_bisection(d, ys):
 
 
 @LIFT_PROPERTY
-@given(accepted_denjoy_parameters(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
+@given(anchored_denjoy_parameters(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
 def test_denjoy_matches_the_former_tiling_and_solver(drawn, ys):
     alpha, n, mass, d = drawn
     ref = piece_table(alpha, n, mass)
@@ -259,14 +262,41 @@ def test_denjoy_lift_periodic_and_increasing(d, xs):
 
 
 @LIFT_PROPERTY
-@given(accepted_denjoy())
+@given(anchored_denjoy())
 def test_make_denjoy_hands_its_anchor_orbit_to_orbit_lift(d):
-    """Prefixes of the orbit make_denjoy stored, and resumes past its end,
-    are bit for bit the fresh orbit of the anchor."""
+    """Prefixes of the orbit the anchor read stored, and resumes past its
+    end, are bit for bit the fresh orbit of the anchor."""
     for n in (0, 1000, 1100, 1200):
         got = orbit_lift(d.base, d.cantor_anchor, n)
         ref = orbit_lift_reference(d.base, d.cantor_anchor, n)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_replace_copy_screens_on_first_read(monkeypatch):
+    """A dataclasses.replace copy, as the benchmark tracer makes one,
+    screens on its first read and stores the orbit under its own base."""
+    d = make_denjoy(math.sqrt(2.0) - 1.0, N=30, mass=0.5)
+    screens = []
+    screen = catalog._find_dust_anchor
+
+    def spy(step, dust_position, budget):
+        screens.append(budget)
+        return screen(step, dust_position, budget)
+
+    monkeypatch.setattr(catalog, "_find_dust_anchor", spy)
+    base, calls = counting_lift(d.base)
+    copy = dataclasses.replace(d, base=base)
+    assert screens == []
+    anchor = copy.cantor_anchor
+    assert copy.cantor_anchor == anchor
+    assert screens == [copy.anchor_budget]
+    n = copy.anchor_budget + 1
+    got = orbit_lift(copy.base, anchor, n)
+    assert calls == []
+    ref = orbit_lift_reference(d.base, anchor, n)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert d.cantor_anchor == anchor
+    assert screens == [n - 1, n - 1]
 
 
 @st.composite

@@ -6,8 +6,8 @@ import pytest
 from _orbit_reference import orbit_lift_reference
 from conftest import count_lift_in_place
 from denjoylab import (PeriodicOrbitError, birkhoff_estimate,
-                       build_semiconjugacy, cli, conjugacy_verdict, dynamics,
-                       make_denjoy, maps, rotation)
+                       build_semiconjugacy, catalog, cli, conjugacy_verdict,
+                       dynamics, make_denjoy, maps, rotation)
 from denjoylab.cli import (ConfigError, _build_target, _parse_config, main,
                            run_experiment, _sweep_configs)
 
@@ -109,12 +109,37 @@ class TestRotationPipeline:
         stage = run_experiment(ROT).per_stage["rotation"]
         assert steps == [1000]
         monkeypatch.undo()
-        _, diffeo, anchor = _build_target(_parse_config(ROT))
-        assert stage["value"] == birkhoff_estimate(diffeo, anchor, 1000).value
+        _, diffeo = _build_target(_parse_config(ROT))
+        assert stage["value"] == birkhoff_estimate(
+            diffeo, dynamics.DEFAULT_ANCHOR, 1000).value
 
 
 class TestDenjoyAnchorOrbit:
-    """The orbit make_denjoy screened for its anchor serves the stages."""
+    """The anchor is screened on its first read, and the orbit the screen
+    stored serves the stages."""
+
+    @pytest.mark.parametrize("pipeline, extra", [
+        ("variation", ""), ("crossratio", ""), ("combinatorics", ""),
+        ("rotation", "x0 = 0.3\n")])
+    def test_stages_without_the_anchor_never_screen(self, monkeypatch,
+                                                     pipeline, extra):
+        def screen(*args):
+            raise AssertionError("the dust anchor was screened")
+
+        monkeypatch.setattr(catalog, "_find_dust_anchor", screen)
+        text = CONJ_DENJOY.replace("pipeline = conjugacy\n",
+                                   f"pipeline = {pipeline}\n{extra}")
+        assert pipeline in run_experiment(text).per_stage
+
+    @pytest.mark.parametrize("N", [30, 50])
+    def test_golden_mean_combinatorics_jumps_are_fibonacci(self, N):
+        # the golden mean's anchor screen fails at N <= 50, but this
+        # pipeline iterates the wandering arc and never reads the anchor
+        text = CONJ_DENJOY.replace("alpha = 0.41421356237309515",
+                                   "alpha = 0.6180339887498949")
+        text = text.replace("pipeline = conjugacy", "pipeline = combinatorics")
+        stage = run_experiment(text.replace("N = 30", f"N = {N}")).per_stage
+        assert stage["combinatorics"]["successor_jumps"] == [1, 3, 5, 8, 13, 21]
 
     @staticmethod
     def _lift_calls(monkeypatch, pipeline):
@@ -205,9 +230,9 @@ class TestConjugacyPipeline:
     def test_x0_moves_only_the_gap_profile(self):
         text = CONJ_DENJOY.replace("budget = 400", "budget = 400\nx0 = 0.3")
         c = run_experiment(text).per_stage["conjugacy"]
-        target, diffeo, anchor = _build_target(_parse_config(text))
+        target, diffeo = _build_target(_parse_config(text))
         semi = conjugacy_verdict(target, 400).semi
-        assert semi.anchor == anchor != 0.3
+        assert semi.anchor == target.cantor_anchor != 0.3
         assert c["alpha"] == semi.alpha
         assert c["defect"] == semi.defect
         assert c["plateau_count"] == len(semi.plateaus)
@@ -336,6 +361,26 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, limit", sorted(cli.DEPTH_LIMITS.items()))
+    @pytest.mark.parametrize("pipeline", ["variation", "crossratio"])
+    def test_depth_over_its_limit_exits_two(self, tmp_path, capsys,
+                                            monkeypatch, pipeline, key, limit):
+        # a stub stage: the check must come before any estimator allocates
+        ran = []
+        monkeypatch.setitem(cli._STAGES, pipeline,
+                            lambda report, *args: ran.append(args[-1].getint(
+                                "experiment", key)))
+        text = f"[experiment]\npipeline = {pipeline}\n{key} = {{}}\n" + RIGID
+        assert _run(tmp_path, text.format(limit), "at.ini")[0] == 0
+        assert ran == [limit]
+        capsys.readouterr()
+        rc, _ = _run(tmp_path, text.format(limit + 21), "over.ini")
+        assert rc == 2
+        assert ran == [limit]
+        assert capsys.readouterr().err == (
+            f"config error in [experiment]: {key} must be <= {limit}, "
+            f"got {limit + 21}\n")
 
     @pytest.mark.parametrize("pipeline",
                              [p for p in cli.PIPELINES if p != "variation"])

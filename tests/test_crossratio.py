@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from denjoylab import (Arc, DegenerateTupleError, FourTuple, IntervalFunction,
-                       arc_image, compose, crd_variation_estimate,
-                       cross_ratios, decompose_ab, delta_and_bound,
-                       interval_orbit, iterate_distortion_bound,
-                       koebe_log_ratio, log_cr_first_quadrature, make_map,
-                       term_b_constant)
+from denjoylab import (Arc, CircleDiffeo, DegenerateTupleError, FourTuple,
+                       IntervalFunction, NonMonotoneMapError, arc_image,
+                       compose, crd_variation_estimate, cross_ratios,
+                       decompose_ab, delta_and_bound, interval_orbit,
+                       iterate_distortion_bound, koebe_log_ratio,
+                       log_cr_first_quadrature, make_map, term_b_constant)
 from denjoylab.crossratio import CRD_BATCH_POINTS
 
 from _crd_reference import crd_variation_reference
@@ -211,6 +211,16 @@ class TestCrdVariation:
         d7 = crd_variation_estimate(f, 7)
         assert d6 > 0.0
         assert abs(d7 - d6) <= 0.05 * d6
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 6])
+    def test_folding_lift_raises(self, depth):
+        # amplitude 1.5: F' = 1 + 1.5 cos 2 pi x turns negative, so some
+        # cells fold and their log ratios would be NaN; the estimate read
+        # 0.0 at these depths, the value of a rigid rotation
+        fold = CircleDiffeo(lift_eval=lambda x: x + 0.3 + 1.5 / (2.0 * math.pi)
+                            * np.sin(2.0 * math.pi * x))
+        with pytest.raises(NonMonotoneMapError, match="at level 1 "):
+            crd_variation_estimate(fold, depth)
 
     def test_matches_the_former_loop_at_the_estimators_depth(self, denjoy50):
         # the estimators benchmark runs crd at depth 13 on this map, where
