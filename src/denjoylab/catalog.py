@@ -26,6 +26,8 @@ TWO_PI = 2.0 * math.pi
 
 #: series depth used for the tent-sum function when none is requested
 DEFAULT_TENT_DEPTH = 20
+#: deepest tent sum: the scale 2.0 ** depth of its last layer overflows above it
+MAX_TENT_DEPTH = 1023
 
 #: argument types that the catalog lifts evaluate on plain floats
 SCALAR_TYPES = (float, int, np.floating, np.integer)
@@ -56,14 +58,12 @@ class OracleInfo:
 class IntervalFunction:
     """A continuous real function on a closed interval.
 
-    ``eval`` accepts floats or numpy arrays.  ``derivative`` is present
-    only where the function is C1 on the whole domain.  ``oracle`` holds
-    whatever closed-form variation data is known.
+    ``eval`` accepts floats or numpy arrays.  ``oracle`` holds whatever
+    closed-form variation data is known.
     """
 
     domain: tuple[float, float]
     eval: Callable
-    derivative: Callable | None = None
     oracle: OracleInfo | None = None
     label: str = ""
 
@@ -404,7 +404,10 @@ def takagi_total_variation(depth: int) -> float:
     The truncated sum is piecewise linear with slope 2 * (#up - #down)
     over the level-(depth+1) dyadic cells, one cell per sign pattern, so
     the variation is a central-binomial expression in m = depth + 1.
+    ValueError above ``MAX_TENT_DEPTH``.
     """
+    if depth > MAX_TENT_DEPTH:
+        raise ValueError(f"tent depth must be <= {MAX_TENT_DEPTH}, got {depth}")
     m = depth + 1
     return m * 2.0 ** (2 - m) * math.comb(m - 1, (m - 1) // 2)
 
@@ -471,7 +474,8 @@ def example_function(name: str, depth: int = DEFAULT_TENT_DEPTH) -> IntervalFunc
     ex2: the tent-series partial sum of ``depth`` + 1 layers on [0, 1];
          total variation is ``takagi_total_variation(depth)``, unbounded
          but growing like sqrt(depth), while the scaled second
-         differences stay uniformly bounded.
+         differences stay uniformly bounded.  ``depth`` is at most
+         ``MAX_TENT_DEPTH``, else ValueError.
     ex3: on each dyadic block [2^-(n+1), 2^-n] a tent of height 1/n,
          n = 1..depth.  Quadratic variation is exactly sum of 2/n^2;
          the midpoint second differences diverge harmonically.

@@ -56,9 +56,9 @@ from .combinatorics import (PULLBACK_MULTIPLICITY_BOUND,
                             intersection_multiplicity, natural_neighborhood,
                             predecessor_successor_table, pullback_arcs)
 from .crossratio import crd_variation_estimate, term_b_constant
-from .dynamics import (DEFAULT_ANCHOR, conjugacy_verdict, interval_orbit,
-                       omega_gap_profile)
-from .errors import DenjoyLabError, PeriodicOrbitError
+from .dynamics import (DEFAULT_ANCHOR, DENSE_GAP_FACTOR, conjugacy_verdict,
+                       interval_orbit, omega_gap_profile)
+from .errors import DenjoyLabError, NonMonotoneMapError, PeriodicOrbitError
 from .maps import Arc, orbit_lift
 from .rotation import birkhoff_from_orbit
 from .util import frac
@@ -162,13 +162,17 @@ def _build_target(cfg: configparser.ConfigParser):
                                                    fallback=0.0)
             target = make_map(recipe)
             return target, target
-    except (ValueError, KeyError, configparser.Error) as err:
+    except (ValueError, KeyError, configparser.Error, NonMonotoneMapError) as err:
         raise ConfigError(f"config error in [map]: {err}") from err
     raise ConfigError(f"config error: unknown map kind {kind!r}")
 
 
-def _qualifier(**kv) -> str:
-    return ", ".join(f"{k}={v}" for k, v in kv.items())
+def _verdict(report, label: str, verdict: str, **qualifier) -> None:
+    """Append a verdict qualified by its keywords, in keyword order."""
+    report.verdicts.append({
+        "label": label, "verdict": verdict,
+        "qualifier": ", ".join(f"{k}={v}" for k, v in qualifier.items()),
+    })
 
 
 def _start(target, x0):
@@ -188,15 +192,12 @@ def _stage_rotation(report, target, diffeo, x0, cfg):
         "value": est.value, "error_bound": est.error_bound,
         "n": n, "x0": anchor,
     }
-    report.verdicts.append({
-        "label": "rotation-number",
-        "verdict": f"{est.value:.10f}",
-        "qualifier": _qualifier(n=n, error_bound=f"{est.error_bound:.3e}"),
-    })
+    _verdict(report, "rotation-number", f"{est.value:.10f}",
+             n=n, error_bound=f"{est.error_bound:.3e}")
     step = max(1, n // 64)
-    rows = [(k, float(frac((lift[k] - lift[0]) / k)), 2.0 / k)
-            for k in range(step, n + 1, step)]
-    report.series["rotation"] = rows
+    ests = [birkhoff_from_orbit(lift, k) for k in range(step, n + 1, step)]
+    report.series["rotation"] = [(e.iterates_used, e.value, e.error_bound)
+                                 for e in ests]
 
 
 def _variation_input(diffeo, cfg):
@@ -222,11 +223,8 @@ def _stage_variation(report, target, diffeo, x0, cfg):
         "holder": list(rep.holder) if rep.holder is not None else None,
     }
     for name in ("tv", "zv", "qv", "zyg_norm"):
-        report.verdicts.append({
-            "label": f"variation-{name}",
-            "verdict": rep.describe(name),
-            "qualifier": _qualifier(depth=depth, input=f.label),
-        })
+        _verdict(report, f"variation-{name}", rep.describe(name),
+                 depth=depth, input=f.label)
     report.series["variation"] = [
         (d, rep.trends["zv"][i], rep.trends["tv"][i])
         for i, d in enumerate(probe_depths(depth))
@@ -241,11 +239,7 @@ def _stage_crossratio(report, target, diffeo, x0, cfg):
         "crd_variation": est, "partition_depth": depth,
         "term_b_constant_sample": k3,
     }
-    report.verdicts.append({
-        "label": "crd-variation",
-        "verdict": f"{est:.6e}",
-        "qualifier": _qualifier(partition_depth=depth),
-    })
+    _verdict(report, "crd-variation", f"{est:.6e}", partition_depth=depth)
 
 
 def _stage_conjugacy(report, target, diffeo, x0, cfg):
@@ -269,18 +263,17 @@ def _stage_conjugacy(report, target, diffeo, x0, cfg):
         metrics["defect"] = verdict.semi.defect
         metrics["alpha"] = verdict.semi.alpha
     report.per_stage["conjugacy"] = metrics
-    report.verdicts.append({
-        "label": "conjugacy",
-        "verdict": verdict.kind,
-        "qualifier": _qualifier(budget=budget, detail=verdict.detail),
-    })
+    _verdict(report, "conjugacy", verdict.kind,
+             budget=budget, detail=verdict.detail)
     report.series["conjugacy"] = [
-        (k, g, 8.0 / budget) for k, g in prof.gap_trend
+        (k, g, DENSE_GAP_FACTOR / budget) for k, g in prof.gap_trend
     ]
 
 
 def _stage_combinatorics(report, target, diffeo, x0, cfg):
     count = cfg.getint("experiment", "count", fallback=60)
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     base_arc = getattr(target, "wandering_arc", None)
     if base_arc is None:
         pts = frac(orbit_lift(diffeo, _start(target, x0), count))
@@ -310,23 +303,17 @@ def _stage_combinatorics(report, target, diffeo, x0, cfg):
         "max_pullback_multiplicity": worst,
         "multiplicity_bound": PULLBACK_MULTIPLICITY_BOUND,
     }
-    report.verdicts.append({
-        "label": "pullback-multiplicity",
-        "verdict": ("within-bound"
-                    if worst <= PULLBACK_MULTIPLICITY_BOUND else "exceeded"),
-        "qualifier": _qualifier(max_observed=worst,
-                                bound=PULLBACK_MULTIPLICITY_BOUND,
-                                arcs=len(table)),
-    })
+    _verdict(report, "pullback-multiplicity",
+             "within-bound" if worst <= PULLBACK_MULTIPLICITY_BOUND else "exceeded",
+             max_observed=worst, bound=PULLBACK_MULTIPLICITY_BOUND,
+             arcs=len(table))
 
 
 def _stage_full(report, target, diffeo, x0, cfg):
     _stage_crossratio(report, target, diffeo, x0, cfg)
     _stage_variation(report, target, diffeo, x0, cfg)
     _stage_conjugacy(report, target, diffeo, x0, cfg)
-    var = report.per_stage["variation"]
-    finite_evidence = (not var["diverging"].get("zv", True)
-                       and var["qv"] is not None)
+    finite_evidence = not report.per_stage["variation"]["diverging"]["zv"]
     no_wandering = report.per_stage["conjugacy"]["kind"] == "conjugate-evidence"
     consistent = finite_evidence == no_wandering
     report.per_stage["criterion"] = {
@@ -334,13 +321,10 @@ def _stage_full(report, target, diffeo, x0, cfg):
         "no_wandering_interval": no_wandering,
         "consistent": consistent,
     }
-    report.verdicts.append({
-        "label": "criterion-consistency",
-        "verdict": "consistent" if consistent else "inconsistent",
-        "qualifier": _qualifier(
-            finite_zv_qv_evidence=finite_evidence,
-            no_wandering_interval=no_wandering),
-    })
+    _verdict(report, "criterion-consistency",
+             "consistent" if consistent else "inconsistent",
+             finite_zv_qv_evidence=finite_evidence,
+             no_wandering_interval=no_wandering)
 
 
 _STAGES = {

@@ -93,7 +93,6 @@ def predecessor_successor_table(arcs: Sequence[Arc]) -> OrbitCombinatorics:
     top = count - 1
     starts = np.array([a.start for a in arcs])
     ends = np.array([a.end for a in arcs])
-    lengths = np.array([a.length for a in arcs])
     centers = np.array([a.midpoint() for a in arcs])
     idx = np.arange(count)
 
@@ -129,8 +128,7 @@ def predecessor_successor_table(arcs: Sequence[Arc]) -> OrbitCombinatorics:
             if not ordered:
                 continue
             other = right[n] if role == "L" else left[n]
-            if other != pred and _arc_meets_span(starts[other],
-                                                 lengths[other], b_lo, b_hi):
+            if other != pred and arcs[other].intersects(Arc(b_lo, b_hi)):
                 continue
             gap_len = ccw_gap(g_lo, g_hi)
             off = frac(centers - g_lo)
@@ -162,14 +160,6 @@ def predecessor_successor_table(arcs: Sequence[Arc]) -> OrbitCombinatorics:
         arcs=arcs, left_pred=tuple(left), right_pred=tuple(right),
         successor=tuple(succ), successor_side=tuple(side),
         natural_nbhd=tuple(nbhd))
-
-
-def _arc_meets_span(a_start: float, a_len: float, lo: float,
-                    hi: float) -> bool:
-    """Closed arc [a_start, a_start+a_len] meets the closed ccw span
-    from lo to hi."""
-    span = ccw_gap(lo, hi)
-    return frac(a_start - lo) <= span or frac(lo - a_start) <= a_len
 
 
 def natural_neighborhood(table: OrbitCombinatorics, n: int) -> Arc:

@@ -87,9 +87,9 @@ def log_cr_first_quadrature(t: FourTuple) -> float:
 
 
 def koebe_log_ratio(h, x: float, y: float) -> float:
-    """log h'(x) + log h'(y) - 2 log[h']_xy on a pair x < y.
+    """log h'(x) + log h'(y) - 2 log[h']_xy of a C1 circle map h on x < y.
 
-    [h']_xy is the exact increment quotient, so affine maps and rigid
+    [h']_xy is the exact increment quotient of the lift, so rigid
     rotations give exactly zero.
     """
     return _koebe_log_ratio(h, x, y, *_lift_pair(h, x, y))
@@ -97,14 +97,10 @@ def koebe_log_ratio(h, x: float, y: float) -> float:
 
 def _lift_pair(h, x: float, y: float) -> tuple[float, float]:
     """The images h(x), h(y) of a pair x < y, from one two-point lift of a
-    circle diffeomorphism or one call of an increasing real function."""
+    circle diffeomorphism."""
     if not x < y:
         raise ValueError(f"need x < y, got {x}, {y}")
-    pts = np.array([x, y])
-    if isinstance(h, CircleDiffeo):
-        hx, hy = h.lift_eval(pts)
-    else:
-        hx, hy = np.asarray(h(pts), dtype=float)
+    hx, hy = h.lift_eval(np.array([x, y]))
     if not hx < hy:
         raise NonMonotoneMapError(f"map is not increasing on {(x, y)}")
     return float(hx), float(hy)
@@ -140,8 +136,8 @@ class DistortionBreakdown:
 
 
 def decompose_ab(h, x: float, y: float) -> DistortionBreakdown:
-    """Compute both split terms of the log Koebe ratio on [x, y] along
-    with the variation budgets of log h' that bound them.
+    """Both split terms of the log Koebe ratio of a C1 circle map h on
+    [x, y], with the variation budgets of log h' that bound them.
 
     The average [log h']_xy is an adaptive-Simpson quadrature; the two
     occurrences cancel in the reassembled identity, which therefore holds
@@ -184,7 +180,7 @@ def delta_and_bound(eps: float, delta_floor: float) -> tuple[float, float]:
 
 
 def term_b_constant(h, x: float, y: float) -> float:
-    """Constant K with |term_b| <= K * QV(log h' on [x, y]).
+    """Constant K with |term_b| <= K * QV(log h' on [x, y]), h a C1 circle map.
 
     From the measured derivative range: with R the sup/inf ratio of h'
     on [x, y], every pointwise ratio h'(t)/[h']_xy is at least 1/R, so

@@ -37,6 +37,10 @@ WANDERING_TOL = 1e-12
 #: distance of a displacement F^q(x) - x to an integer p that counts as a
 #: closed orbit in _detect_period
 PERIOD_TOL = 1e-9
+#: most returns the period test of an n-point orbit profile compares
+PERIOD_WINDOW = 1000
+#: steps of the disjointness scan that confirms a plateau as wandering
+PROBE_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -199,13 +203,13 @@ def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int) -> OrbitProfile:
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
-    return _gap_profile(_anchor_orbit(diffeo, x0, n, min(n, 1000)), n)
+    return _gap_profile(_anchor_orbit(diffeo, x0, n, min(n, PERIOD_WINDOW)), n)
 
 
 def _gap_profile(orbit: np.ndarray, n: int) -> OrbitProfile:
-    """omega_gap_profile read from the _anchor_orbit of budget min(n, 1000)."""
+    """omega_gap_profile read from the _anchor_orbit of budget min(n, PERIOD_WINDOW)."""
     pts = frac(orbit[:n + 1])
-    period = _detect_period(orbit, min(n, 1000))
+    period = _detect_period(orbit, min(n, PERIOD_WINDOW))
 
     checkpoints = sorted({max(10, n // 4), max(10, n // 2), n})
     trend = tuple((k, _max_circular_gap(pts[:k + 1])) for k in checkpoints)
@@ -236,8 +240,9 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
-    lift_orbit = _anchor_orbit(diffeo, x0, n, min(n, 1000))
-    q = _detect_period(lift_orbit, min(n, 1000))
+    window = min(n, PERIOD_WINDOW)
+    lift_orbit = _anchor_orbit(diffeo, x0, n, window)
+    q = _detect_period(lift_orbit, window)
     if q is not None:
         raise PeriodicOrbitError(
             q, "rational case; monotone circle-map classification applies, "
@@ -310,7 +315,7 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
     diffeo = getattr(target_map, "base", target_map)
     anchor = float(getattr(target_map, "cantor_anchor", DEFAULT_ANCHOR))
 
-    orbit = _anchor_orbit(diffeo, anchor, budget, min(budget, 1000))
+    orbit = _anchor_orbit(diffeo, anchor, budget, min(budget, PERIOD_WINDOW))
     profile = _gap_profile(orbit, budget)
     if profile.periodicity is not None:
         return ConjugacyVerdict("rational-rotation",
@@ -322,12 +327,12 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
     for arc, flatness in sorted(semi.plateaus, key=lambda p: -p[0].length):
         quarter = 0.25 * arc.length
         middle = Arc(arc.start + quarter, arc.start + 3.0 * quarter)
-        probe = wandering_verdict(diffeo, middle, n=50)
+        probe = wandering_verdict(diffeo, middle, n=PROBE_STEPS)
         if probe.kind in ("wandering-up-to-n", "contracted"):
             return ConjugacyVerdict(
                 "wandering-interval-found", arc=arc,
                 detail=f"plateau flatness {flatness:.3e}; images disjoint "
-                       f"for 50 steps", semi=semi, profile=profile)
+                       f"for {PROBE_STEPS} steps", semi=semi, profile=profile)
     detail = ("no plateau at this resolution"
               if not semi.plateaus else "plateaus present but unconfirmed")
     return ConjugacyVerdict("conjugate-evidence",

@@ -281,28 +281,24 @@ def classify_regularity(f: IntervalFunction, depth: int) -> VariationReport:
 
 
 def _derivative(h):
-    """The derivative of a lift or a C1 interval function, as a callable."""
-    if isinstance(h, CircleDiffeo):
-        if h.lift_derivative is None:
-            raise NotDifferentiableError(f"map {h.label!r} is not C1: no derivative stored")
-        return h.lift_derivative
-    if isinstance(h, IntervalFunction):
-        if h.derivative is None:
-            raise NotDifferentiableError(f"{h.label or 'function'} has no derivative")
-        return h.derivative
-    raise NotDifferentiableError(f"cannot differentiate {h!r}")
+    """The lift derivative of a C1 circle diffeomorphism, as a callable."""
+    if not isinstance(h, CircleDiffeo):
+        raise NotDifferentiableError(
+            f"no derivative: {type(h).__name__} is not a CircleDiffeo")
+    if h.lift_derivative is None:
+        raise NotDifferentiableError(f"map {h.label!r} is not C1: no derivative stored")
+    return h.lift_derivative
 
 
 def log_derivative_function(diffeo, lo: float = 0.0,
                             hi: float = 1.0) -> IntervalFunction:
     """log of the derivative as an interval function on [lo, hi].
 
-    ``diffeo`` is a circle diffeomorphism (its lift derivative is used)
-    or an interval function that carries a derivative, else
-    NotDifferentiableError.  A float argument is handed to the derivative
-    as it is, so maps with a plain-float derivative path skip the 0-d
-    array; ``np.log`` is kept on both paths because ``math.log`` can
-    differ from it in the last bit.
+    ``diffeo`` is a C1 circle diffeomorphism, whose lift derivative is
+    used; anything else raises NotDifferentiableError.  A float argument
+    is handed to the derivative as it is, so maps with a plain-float
+    derivative path skip the 0-d array; ``np.log`` is kept on both paths
+    because ``math.log`` can differ from it in the last bit.
     """
     deriv = _derivative(diffeo)
 

@@ -18,6 +18,19 @@ def _in_open(p, lo, hi):
     return 0.0 < _ccw(lo, p) < _ccw(lo, hi)
 
 
+def arc_meets_span(a_start, a_len, lo, hi):
+    """Closed arc [a_start, a_start+a_len] meets the closed ccw span
+    from lo to hi.
+
+    The table's former bridge test, ``combinatorics._arc_meets_span``,
+    kept as the reference for ``Arc.intersects``; x % 1.0 % 1.0 is
+    ``util.frac`` on a float, bit for bit.
+    """
+    span = (hi - lo) % 1.0 % 1.0
+    return ((a_start - lo) % 1.0 % 1.0 <= span
+            or (lo - a_start) % 1.0 % 1.0 <= a_len)
+
+
 def brute_table(centers, half):
     """Tables for the arc family [c - half, c + half] around each center.
 

@@ -146,6 +146,17 @@ class TestExampleFunctions:
         assert ex3.quadratic_variation == pytest.approx(
             sum(2.0 / n**2 for n in range(1, 9)))
 
+    def test_tent_sum_depth_limit(self):
+        # the layer scale 2.0 ** depth overflows a float from depth 1024
+        top = catalog.MAX_TENT_DEPTH
+        f = example_function("ex2", top)
+        assert np.all(np.isfinite(f.eval(np.linspace(0.0, 1.0, 9))))
+        assert math.isfinite(f.oracle.total_variation)
+        for build in (takagi_total_variation, lambda d: example_function("ex2", d)):
+            with pytest.raises(ValueError, match=f"^tent depth must be <= {top}, "
+                                                 f"got {top + 1}$"):
+                build(top + 1)
+
     def test_tent_sum_evaluates_at_dyadic_points(self):
         f = example_function("ex2", 4)
         # every summand vanishes at 0 and 1

@@ -10,6 +10,7 @@ from denjoylab import (PeriodicOrbitError, birkhoff_estimate,
                        dynamics, make_denjoy, maps, rotation)
 from denjoylab.cli import (ConfigError, _build_target, _parse_config, main,
                            run_experiment, _sweep_configs)
+from denjoylab.util import frac
 
 ROT = """
 [experiment]
@@ -74,6 +75,20 @@ class TestRotationPipeline:
         csv = (out / "series_rotation.csv").read_text().splitlines()
         assert csv[0] == "n,value,bound"
         assert len(csv) > 10
+
+    @pytest.mark.parametrize("map_text", [
+        "[map]\nkind = rigid\nalpha = 0.618\n",
+        "[map]\nkind = arnold\nalpha = 0.41\namplitude = 0.6\n",
+        "[map]\nkind = denjoy\nalpha = 0.41421356237309515\nN = 30\n"])
+    def test_series_rows_are_the_former_formula(self, map_text):
+        text = "[experiment]\npipeline = rotation\nemit_series = true\n" + map_text
+        rep = run_experiment(text)
+        _, diffeo = _build_target(_parse_config(text))
+        lift = orbit_lift_reference(diffeo, rep.per_stage["rotation"]["x0"], 1000)
+        # each row as the stage computed it before it read birkhoff_from_orbit
+        assert rep.series["rotation"] == [
+            (k, float(frac((lift[k] - lift[0]) / k)), 2.0 / k)
+            for k in range(15, 1001, 15)]
 
     def test_x0_is_read_as_a_circle_point(self):
         # at x0 = 1e17 the lift rounds F(x0) back to x0, so an unreduced
@@ -326,6 +341,21 @@ class TestSweep:
 
 
 RIGID = "\n[map]\nkind = rigid\nalpha = 0.618\n"
+COUNT = "[experiment]\npipeline = combinatorics\ncount = {}\n"
+COUNT_ERROR = "config error in [experiment]: count must be >= 1, got {}"
+#: bad configs whose one stderr line is known to the letter
+MESSAGES = {
+    COUNT.format(-3) + RIGID: COUNT_ERROR.format(-3),
+    COUNT.format(0) + RIGID: COUNT_ERROR.format(0),
+    COUNT.format(0) + "[map]\nkind = arnold\nalpha = 0.3\namplitude = 0.5\n":
+        COUNT_ERROR.format(0),
+    COUNT.format(0) + "[map]\nkind = denjoy\nalpha = 0.41421356237309515\n":
+        COUNT_ERROR.format(0),
+    "[experiment]\npipeline = rotation\n"
+    "[map]\nkind = arnold\nalpha = 0.3\namplitude = 1.0\n":
+        "config error in [map]: amplitude 1.0 >= 1: lift derivative reaches "
+        "zero, not a diffeomorphism",
+}
 
 
 class TestConfigErrors:
@@ -340,7 +370,6 @@ class TestConfigErrors:
         "[experiment]\npipeline = conjugacy\nn = 50\n" + RIGID,
         "[experiment]\npipeline = variation\ndepth = 2\n" + RIGID,
         "[experiment]\npipeline = crossratio\ndepth = 0\n" + RIGID,
-        "[experiment]\npipeline = combinatorics\ncount = -3\n" + RIGID,
         "[experiment]\npipeline = rotation\nemit_series = maybe\n" + RIGID,
         "[experiment]\npipeline = rotation\nmax_seconds = 0\n" + RIGID,
         "[experiment]\npipeline = rotation\nmax_seconds = -1\n" + RIGID,
@@ -354,6 +383,7 @@ class TestConfigErrors:
         "[map]\nkind = arnold\nalpha = 0.3\namplitude = nan\n",
         "[experiment]\npipeline = rotation\nx0 = inf\n"
         "[map]\nkind = arnold\nalpha = 0.3\namplitude = 0.5\n",
+        *MESSAGES,
     ])
     def test_bad_configs_exit_two(self, tmp_path, capsys, text):
         rc, _ = _run(tmp_path, text)
@@ -361,6 +391,8 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+        if text in MESSAGES:
+            assert err == MESSAGES[text] + "\n"
 
     @pytest.mark.parametrize("key, limit", sorted(cli.DEPTH_LIMITS.items()))
     @pytest.mark.parametrize("pipeline", ["variation", "crossratio"])

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from _combinatorics_oracle import brute_table
+from _combinatorics_oracle import arc_meets_span, brute_table
 from denjoylab import (Arc, KoebeConstants, eps_scale,
                        intersection_multiplicity, interval_orbit, make_map,
                        macroscopic_delta, natural_neighborhood,
@@ -115,6 +116,30 @@ class TestNaturalNeighborhood:
         t = predecessor_successor_table(arcs)
         with pytest.raises(ValueError):
             natural_neighborhood(t, 0)
+
+
+UNIT = st.floats(0.0, 1.0, exclude_max=True)
+#: a span end: any point, or an end of the tested arc
+END = st.one_of(UNIT, st.sampled_from(["start", "end"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(UNIT, UNIT, END, END)
+@example(0.9, 0.2, 0.95, 0.3)         # both arcs wrap through 0
+@example(0.9, 0.2, "end", 0.5)        # the span starts where the arc ends
+@example(0.7, 0.2, 0.95, "start")     # the wrapped span ends where the arc starts
+def test_bridge_test_is_arc_intersects(a_start, a_len, lo, hi):
+    """The table's bridge test, now ``Arc.intersects``, answers as the
+    former ``_arc_meets_span`` did, closed ends and wrapped arcs included."""
+    try:
+        arc = Arc(a_start, a_start + a_len)
+        lo = {"start": arc.start, "end": arc.end}.get(lo, lo)
+        hi = {"start": arc.start, "end": arc.end}.get(hi, hi)
+        span = Arc(lo, hi)
+    except ValueError:
+        assume(False)   # an empty or full arc: the table never builds one
+    assert arc.intersects(span) == arc_meets_span(arc.start, arc.length,
+                                                  span.start, span.end)
 
 
 def _strictly_inside(arc, T):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from denjoylab import (Arc, CircleDiffeo, DegenerateTupleError, FourTuple,
-                       IntervalFunction, NonMonotoneMapError, arc_image,
-                       compose, crd_variation_estimate, cross_ratios,
-                       decompose_ab, delta_and_bound, interval_orbit,
+                       NonMonotoneMapError, arc_image, compose,
+                       crd_variation_estimate, cross_ratios, decompose_ab,
+                       delta_and_bound, interval_orbit,
                        iterate_distortion_bound, koebe_log_ratio,
                        log_cr_first_quadrature, make_map, term_b_constant)
 from denjoylab.crossratio import CRD_BATCH_POINTS
@@ -74,10 +74,10 @@ class TestKoebeLogRatio:
             0.0, abs=1e-14)
 
     def test_square_map_value(self):
-        sq = IntervalFunction(domain=(1.0, 2.0),
-                              eval=lambda x: np.asarray(x, dtype=float) ** 2,
-                              derivative=lambda x: 2.0 * np.asarray(x),
-                              oracle=None, label="square")
+        # x^2 is no degree-one lift, but only [1, 2] is read
+        sq = CircleDiffeo(lift_eval=lambda x: np.asarray(x, dtype=float) ** 2,
+                          lift_derivative=lambda x: 2.0 * np.asarray(x),
+                          label="square")
         # log 2 + log 4 - 2 log 3
         assert koebe_log_ratio(sq, 1.0, 2.0) == pytest.approx(
             math.log(8.0 / 9.0), abs=1e-14)

@@ -18,9 +18,8 @@ from denjoylab.variation import (_extrema, log_derivative_function,
                                  zygmund_variation_estimate)
 
 
-def _fn(expr, label, lo=0.0, hi=1.0, deriv=None):
-    return IntervalFunction(domain=(lo, hi), eval=expr, derivative=deriv,
-                            oracle=None, label=label)
+def _fn(expr, label, lo=0.0, hi=1.0):
+    return IntervalFunction(domain=(lo, hi), eval=expr, oracle=None, label=label)
 
 
 SQUARE = _fn(lambda x: np.asarray(x, dtype=float) ** 2, "square")
@@ -274,14 +273,13 @@ class TestLogDerivativeInput:
                            np.log(np.asarray(g.lift_derivative(xs))), atol=1e-12)
 
     def test_interval_function_input(self):
-        sq = _fn(lambda x: x * x, "sq", 1.0, 2.0, deriv=lambda x: 2.0 * x)
-        f = log_derivative_function(sq, 1.0, 2.0)
-        assert f.label == "log deriv of sq"
-        assert f(1.5) == math.log(3.0)
+        # only a circle map carries a derivative
+        sq = _fn(lambda x: x * x, "sq", 1.0, 2.0)
+        with pytest.raises(NotDifferentiableError, match=(
+                "^no derivative: IntervalFunction is not a CircleDiffeo$")):
+            log_derivative_function(sq, 1.0, 2.0)
 
     def test_missing_derivative_raises_when_built(self):
-        with pytest.raises(NotDifferentiableError, match="^abs has no derivative$"):
-            log_derivative_function(_fn(abs, "abs"))
         rigid = make_map({"kind": "rigid", "alpha": 0.3})
         with pytest.raises(NotDifferentiableError,
                            match=r"^map 'rigid\(0.3\)' is not C1: no derivative stored$"):
