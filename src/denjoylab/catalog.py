@@ -110,16 +110,18 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
     scale = amplitude / TWO_PI
 
     def lift(x):
-        if isinstance(x, SCALAR_TYPES):
+        if type(x) is not float:
+            if not isinstance(x, SCALAR_TYPES):
+                return x + (alpha + scale * np.sin(TWO_PI * (x - np.floor(x))))
             x = float(x)
-            return x + (alpha + scale * math.sin(TWO_PI * (x - math.floor(x))))
-        return x + (alpha + scale * np.sin(TWO_PI * (x - np.floor(x))))
+        return x + (alpha + scale * math.sin(TWO_PI * (x - math.floor(x))))
 
     def lift_derivative(x):
-        if isinstance(x, SCALAR_TYPES):
+        if type(x) is not float:
+            if not isinstance(x, SCALAR_TYPES):
+                return 1.0 + amplitude * np.cos(TWO_PI * (x - np.floor(x)))
             x = float(x)
-            return 1.0 + amplitude * math.cos(TWO_PI * (x - math.floor(x)))
-        return 1.0 + amplitude * np.cos(TWO_PI * (x - np.floor(x)))
+        return 1.0 + amplitude * math.cos(TWO_PI * (x - math.floor(x)))
 
     return CircleDiffeo(lift_eval=lift, lift_derivative=lift_derivative, label=label)
 
@@ -132,9 +134,11 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
 class DenjoyMap:
     """A C1 circle diffeomorphism carrying an explicit wandering arc.
 
-    ``inserted_lengths`` and ``insertion_arcs`` are ordered by the signed
-    orbit index n = -truncation .. truncation; index n labels the interval
-    sitting at circle angle frac(n * alpha) of the reference rotation.
+    ``inserted_lengths``, ``insertion_starts`` and ``insertion_arcs`` are
+    ordered by the signed orbit index n = -truncation .. truncation; index
+    n labels the interval sitting at circle angle frac(n * alpha) of the
+    reference rotation.  ``insertion_arcs`` is built from the starts and
+    lengths on its first read.
     ``cantor_anchor`` is a point of the complementary (dust) set whose
     forward orbit was checked to stay clear of every insertion for at
     least ``anchor_budget`` iterates.  The build does not screen for it:
@@ -155,9 +159,14 @@ class DenjoyMap:
     alpha: float
     inserted_lengths: tuple[float, ...]
     truncation: int
-    insertion_arcs: tuple[Arc, ...]
+    insertion_starts: tuple[float, ...]
     anchor_budget: int
     _screen: Callable[[int], list[float]] = field(compare=False, repr=False)
+
+    @cached_property
+    def insertion_arcs(self) -> tuple[Arc, ...]:
+        return tuple(Arc(start, start + length) for start, length in
+                     zip(self.insertion_starts, self.inserted_lengths))
 
     @cached_property
     def cantor_anchor(self) -> float:
@@ -279,46 +288,54 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
     img_knots = float(img_start[0]) + np.concatenate([[0.0], np.cumsum(img_lens)])
 
     cut = float(src_knots[0])
-    last = img_lens.size - 1
+    # a search over the inner knots gives the piece index, already clamped:
+    # a u below the first knot or at or past the last one, which only
+    # rounding produces, falls in the end piece; likewise for the images
+    inner = src_knots[1:-1]
+    ratios_m1 = ratios - 1.0
     # plain-float copies for the scalar paths, which repeat the array
     # arithmetic below operation for operation and so agree bit for bit
-    knots, lens, rats, imgs = (a.tolist() for a in
-                               (src_knots, src_lens, ratios, img_knots))
+    knots, inner_list, lens, rats_m1, imgs = (a.tolist() for a in (
+        src_knots, inner, src_lens, ratios_m1, img_knots))
+    img_inner = imgs[1:-1]
 
     def step(x: float) -> tuple[float, int]:
         """F(x) for a float x, and the index of the piece that holds x."""
         k = math.floor(x - cut)
         u = x - k
-        j = min(max(bisect_right(knots, u) - 1, 0), last)
-        s = (u - knots[j]) / lens[j]
-        g = s + (rats[j] - 1.0) * (3.0 - 2.0 * s) * s * s
-        return imgs[j] + lens[j] * g + k, j
+        j = bisect_right(inner_list, u)
+        ln = lens[j]
+        s = (u - knots[j]) / ln
+        return imgs[j] + ln * (s + rats_m1[j] * (3.0 - 2.0 * s) * s * s) + k, j
 
     def lift(x):
-        if isinstance(x, SCALAR_TYPES):
-            return step(float(x))[0]
-        arr = np.asarray(x, dtype=float)
-        k = np.floor(arr - cut)
-        u = arr - k
-        j = np.clip(np.searchsorted(src_knots, u, side="right") - 1, 0, last)
-        s = (u - src_knots[j]) / src_lens[j]
-        g = s + (ratios[j] - 1.0) * (3.0 - 2.0 * s) * s * s
-        out = img_knots[j] + src_lens[j] * g + k
-        return float(out) if np.ndim(x) == 0 else out
+        if type(x) is not float:
+            if not isinstance(x, SCALAR_TYPES):
+                arr = np.asarray(x, dtype=float)
+                k = np.floor(arr - cut)
+                u = arr - k
+                j = np.searchsorted(inner, u, side="right")
+                ln = src_lens[j]
+                s = (u - src_knots[j]) / ln
+                out = img_knots[j] + ln * (s + ratios_m1[j] * (3.0 - 2.0 * s) * s * s) + k
+                return float(out) if arr.ndim == 0 else out
+            x = float(x)
+        return step(x)[0]
 
     def lift_derivative(x):
-        if isinstance(x, SCALAR_TYPES):
+        if type(x) is not float:
+            if not isinstance(x, SCALAR_TYPES):
+                arr = np.asarray(x, dtype=float)
+                u = arr - np.floor(arr - cut)
+                j = np.searchsorted(inner, u, side="right")
+                s = (u - src_knots[j]) / src_lens[j]
+                out = 1.0 + 6.0 * ratios_m1[j] * s * (1.0 - s)
+                return float(out) if arr.ndim == 0 else out
             x = float(x)
-            u = x - math.floor(x - cut)
-            j = min(max(bisect_right(knots, u) - 1, 0), last)
-            s = (u - knots[j]) / lens[j]
-            return 1.0 + 6.0 * (rats[j] - 1.0) * s * (1.0 - s)
-        arr = np.asarray(x, dtype=float)
-        u = arr - np.floor(arr - cut)
-        j = np.clip(np.searchsorted(src_knots, u, side="right") - 1, 0, last)
-        s = (u - src_knots[j]) / src_lens[j]
-        out = 1.0 + 6.0 * (ratios[j] - 1.0) * s * (1.0 - s)
-        return float(out) if np.ndim(x) == 0 else out
+        u = x - math.floor(x - cut)
+        j = bisect_right(inner_list, u)
+        s = (u - knots[j]) / lens[j]
+        return 1.0 + 6.0 * rats_m1[j] * s * (1.0 - s)
 
     img0 = imgs[0]
 
@@ -328,9 +345,10 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
         y = float(y)
         k = math.floor(y - img0)
         v = y - k
-        j = min(max(bisect_right(imgs, v) - 1, 0), last)
-        r1 = rats[j] - 1.0
-        t = (v - imgs[j]) / lens[j]
+        j = bisect_right(img_inner, v)
+        r1 = rats_m1[j]
+        ln = lens[j]
+        t = (v - imgs[j]) / ln
 
         def g(s):
             return s + r1 * (3.0 - 2.0 * s) * s * s
@@ -342,25 +360,22 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
         # a t outside [0, r1 + 1], which only rounding produces, yields
         # the nearer end of [0, 1]
         s = solve_increasing(g, dg, t, 0.0, 1.0, min(max(t / (r1 + 1.0), 0.0), 1.0))
-        return knots[j] + lens[j] * s + k
+        return knots[j] + ln * s + k
 
     base = CircleDiffeo(lift_eval=lift, lift_derivative=lift_derivative,
                         lift_inverse=lift_inverse,
                         label=f"denjoy({alpha:.6g}, N={N}, mass={mass:g})")
-
-    insertion_arcs = tuple(Arc(start, end) for start, end in zip(
-        start_by_index.tolist(), (start_by_index + lengths).tolist()))
 
     def screen(budget: int) -> list[float]:
         return _find_dust_anchor(step, dust_position, budget)
 
     return DenjoyMap(
         base=base,
-        wandering_arc=insertion_arcs[N],
+        wandering_arc=Arc(float(start_by_index[N]), float(start_by_index[N] + lengths[N])),
         alpha=alpha,
-        inserted_lengths=tuple(float(v) for v in lengths),
+        inserted_lengths=tuple(lengths.tolist()),
         truncation=N,
-        insertion_arcs=insertion_arcs,
+        insertion_starts=tuple(start_by_index.tolist()),
         anchor_budget=1100,
         _screen=screen,
     )

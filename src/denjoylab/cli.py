@@ -80,6 +80,9 @@ MAX_DEPTH = 19
 MAX_FUNCTION_DEPTH = MAX_DEPTH + 6
 #: [experiment] key -> the largest value a config may set
 DEPTH_LIMITS = {"depth": MAX_DEPTH, "function_depth": MAX_FUNCTION_DEPTH}
+#: circle distance below which two orbit points of the combinatorics stage
+#: count as a revisit: the orbit is periodic, and no disjoint arc family exists
+REVISIT_TOL = 1e-12
 
 
 class ConfigError(DenjoyLabError):
@@ -270,6 +273,19 @@ def _stage_conjugacy(report, target, diffeo, x0, cfg):
     ]
 
 
+def _revisit_gap(pts: np.ndarray) -> int:
+    """The smallest index gap q between two points of [0, 1) closer than
+    ``REVISIT_TOL`` on the circle.  Each pair's two gaps are computed as
+    the sorted gaps of ``_stage_combinatorics`` are, so when one of those
+    is below ``REVISIT_TOL``, some q is found."""
+    for q in range(1, pts.size):
+        lo = np.minimum(pts[q:], pts[:-q])
+        hi = np.maximum(pts[q:], pts[:-q])
+        if float(np.min(np.minimum(hi - lo, lo + 1.0 - hi))) < REVISIT_TOL:
+            return q
+    raise AssertionError(f"no two points within {REVISIT_TOL}")
+
+
 def _stage_combinatorics(report, target, diffeo, x0, cfg):
     count = cfg.getint("experiment", "count", fallback=60)
     if count < 1:
@@ -279,9 +295,10 @@ def _stage_combinatorics(report, target, diffeo, x0, cfg):
         pts = frac(orbit_lift(diffeo, _start(target, x0), count))
         sorted_pts = np.sort(pts)
         gaps = np.diff(np.concatenate([sorted_pts, [sorted_pts[0] + 1.0]]))
-        if float(gaps.min()) < 1e-12:
-            raise ConfigError("config error: orbit revisits itself, no "
-                              "disjoint arc family at count=%d" % count)
+        if float(gaps.min()) < REVISIT_TOL:
+            q = _revisit_gap(pts)
+            raise PeriodicOrbitError(q, f"periodic orbit of period {q}: no "
+                                        f"disjoint arc family at count={count}")
         half = 0.25 * float(gaps.min())
         arcs = [Arc(p - half, p + half) for p in pts]
     else:

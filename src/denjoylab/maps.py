@@ -68,7 +68,20 @@ class Arc:
 
 
 def first_overlap(arcs, tol: float = 0.0) -> tuple[int, int] | None:
-    """First pair (i, j), i < j in row order, of arcs within tol, or None."""
+    """First pair (i, j), i < j in row order, of arcs within tol, or None.
+
+    Two arcs meet when one start lies within the other arc's ccw extent
+    padded by tol >= 0, and then so does the start that follows the
+    other's in circular order (or, when the distance to a start just below
+    rounds to 1.0 and so reads 0.0, the one that precedes it).  So the
+    circularly adjacent pairs in start order are checked first, and when
+    none of them meet, none of the pairs do.  Otherwise the pairs are
+    scanned in row order.
+    """
+    order = sorted(range(len(arcs)), key=lambda i: arcs[i].start)
+    if not any(arcs[i].intersects(arcs[j], tol=tol)
+               for i, j in zip(order, order[1:] + order[:1])):
+        return None
     for i in range(len(arcs)):
         for j in range(i + 1, len(arcs)):
             if arcs[i].intersects(arcs[j], tol=tol):

@@ -1,10 +1,14 @@
-"""The Denjoy map's former piece tiling, piece solver and anchor screen.
+"""The Denjoy map's former piece tiling, piece solver, anchor screen and
+piece kernels.
 
 ``make_denjoy`` once assembled its piece table one position at a time
 through two per-index helpers, solved each piece's cubic with its own
 bracketed Newton loop, and screened anchor candidates against sorted
-copies of the insertion arcs.  The code is kept here, as it was, for
-the tests that require the array version to give the same floats.
+copies of the insertion arcs.  Later its step, lift, derivative and
+inverse clamped each piece index with ``min(max(...))`` or ``np.clip``,
+subtracted 1 from the piece ratio on every call and read each gathered
+column twice (``former_kernels``).  The code is kept here, as it was, for
+the tests that require the current version to give the same floats.
 Parameters are assumed accepted by ``make_denjoy``.
 """
 import math
@@ -13,9 +17,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from denjoylab.catalog import SCALAR_TYPES
 from denjoylab.errors import RootFindError
 from denjoylab.maps import Arc
-from denjoylab.util import frac
+from denjoylab.util import frac, solve_increasing
 
 
 def solve_piece(r1, t):
@@ -111,10 +116,79 @@ def piece_table(alpha, N, mass):
         Arc(float(start_by_index[n + N]),
             float(start_by_index[n + N] + length_by_index[n + N]))
         for n in range(-N, N + 1))
-    return SimpleNamespace(src_knots=src_knots, img_knots=img_knots,
+    return SimpleNamespace(src_knots=src_knots, src_lens=src_lens,
+                           ratios=ratios, img_knots=img_knots,
                            insertion_arcs=insertion_arcs,
                            dust_position=dust_position,
                            lift_inverse=lift_inverse)
+
+
+def former_kernels(alpha, N, mass):
+    """The step, lift, derivative and inverse closures ``make_denjoy``
+    built on the piece table of ``piece_table(alpha, N, mass)``."""
+    table = piece_table(alpha, N, mass)
+    src_knots, src_lens, ratios, img_knots = (
+        table.src_knots, table.src_lens, table.ratios, table.img_knots)
+    cut = float(src_knots[0])
+    last = src_lens.size - 1
+    knots, lens, rats, imgs = (a.tolist() for a in
+                               (src_knots, src_lens, ratios, img_knots))
+
+    def step(x):
+        k = math.floor(x - cut)
+        u = x - k
+        j = min(max(bisect_right(knots, u) - 1, 0), last)
+        s = (u - knots[j]) / lens[j]
+        g = s + (rats[j] - 1.0) * (3.0 - 2.0 * s) * s * s
+        return imgs[j] + lens[j] * g + k, j
+
+    def lift(x):
+        if isinstance(x, SCALAR_TYPES):
+            return step(float(x))[0]
+        arr = np.asarray(x, dtype=float)
+        k = np.floor(arr - cut)
+        u = arr - k
+        j = np.clip(np.searchsorted(src_knots, u, side="right") - 1, 0, last)
+        s = (u - src_knots[j]) / src_lens[j]
+        g = s + (ratios[j] - 1.0) * (3.0 - 2.0 * s) * s * s
+        out = img_knots[j] + src_lens[j] * g + k
+        return float(out) if np.ndim(x) == 0 else out
+
+    def lift_derivative(x):
+        if isinstance(x, SCALAR_TYPES):
+            x = float(x)
+            u = x - math.floor(x - cut)
+            j = min(max(bisect_right(knots, u) - 1, 0), last)
+            s = (u - knots[j]) / lens[j]
+            return 1.0 + 6.0 * (rats[j] - 1.0) * s * (1.0 - s)
+        arr = np.asarray(x, dtype=float)
+        u = arr - np.floor(arr - cut)
+        j = np.clip(np.searchsorted(src_knots, u, side="right") - 1, 0, last)
+        s = (u - src_knots[j]) / src_lens[j]
+        out = 1.0 + 6.0 * (ratios[j] - 1.0) * s * (1.0 - s)
+        return float(out) if np.ndim(x) == 0 else out
+
+    img0 = imgs[0]
+
+    def lift_inverse(y):
+        y = float(y)
+        k = math.floor(y - img0)
+        v = y - k
+        j = min(max(bisect_right(imgs, v) - 1, 0), last)
+        r1 = rats[j] - 1.0
+        t = (v - imgs[j]) / lens[j]
+
+        def g(s):
+            return s + r1 * (3.0 - 2.0 * s) * s * s
+
+        def dg(s):
+            return 1.0 + 6.0 * r1 * s * (1.0 - s)
+
+        s = solve_increasing(g, dg, t, 0.0, 1.0, min(max(t / (r1 + 1.0), 0.0), 1.0))
+        return knots[j] + lens[j] * s + k
+
+    return SimpleNamespace(table=table, step=step, lift=lift,
+                           lift_derivative=lift_derivative, lift_inverse=lift_inverse)
 
 
 def find_dust_anchor(lift, insertion_arcs, dust_position, budget):

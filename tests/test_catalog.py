@@ -11,10 +11,10 @@ from denjoylab import (Arc, CATALOG_ENTRIES, NonMonotoneMapError, catalog,
                        orbit_lift, takagi_total_variation, validate_lift)
 from denjoylab.util import frac
 
-from _denjoy_reference import find_dust_anchor, piece_table
+from _denjoy_reference import find_dust_anchor, former_kernels, piece_table
 from _smooth_reference import make_map as reference_map
 from _orbit_reference import orbit_lift_reference
-from conftest import (accepted_denjoy, anchored_denjoy,
+from conftest import (accepted_denjoy, accepted_denjoy_parameters, anchored_denjoy,
                       anchored_denjoy_parameters, counting_lift)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -258,6 +258,61 @@ def test_denjoy_matches_the_former_tiling_and_solver(drawn, ys):
                                                ref.dust_position, d.anchor_budget)
     for y in _with_neighbours(np.concatenate([ys, ref.img_knots])).tolist():
         assert d.base.lift_inverse(y) == ref.lift_inverse(y)
+
+
+def _step_of(d):
+    """The scalar ``step(x) -> (F(x), piece index)`` that the map's anchor
+    screen iterates, caught by running the screen with a spy."""
+    steps = []
+
+    def spy(step, dust_position, budget):
+        steps.append(step)
+        return [0.0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "_find_dust_anchor", spy)
+        d._screen(0)
+    return steps[0]
+
+
+def _packed(value):
+    """Type, dtype, shape and bytes of a result: a float, a numpy scalar or
+    array, or a step's (float, int) pair."""
+    if isinstance(value, tuple):
+        return tuple(_packed(v) for v in value)
+    arr = np.asarray(value)
+    return type(value), arr.dtype, arr.shape, arr.tobytes()
+
+
+@LIFT_PROPERTY
+@given(accepted_denjoy_parameters(), st.lists(st.floats(-3.0, 3.0), max_size=20))
+def test_denjoy_kernels_match_the_former_kernels_bitwise(drawn, xs):
+    """Step (with its piece index), lift, derivative and inverse give the
+    bits of the former closures at random points and at every source or
+    image knot with its integer translates and one-ulp neighbours, for
+    floats, np.float64, ints, np.int64, 0-d arrays and arrays."""
+    alpha, n, mass, d = drawn
+    old = former_kernels(alpha, n, mass)
+    f, step = d.base, _step_of(d)
+    pts = _with_neighbours(np.concatenate([xs, old.table.src_knots]))
+    for x in pts.tolist():
+        assert _packed(step(x)) == _packed(old.step(x))
+    # every point as a float and in one array, every fifth in every form
+    for x in pts.tolist() + [pts] + _argument_types(pts[::5].tolist()):
+        assert _packed(f.lift_eval(x)) == _packed(old.lift(x))
+        assert _packed(f.lift_derivative(x)) == _packed(old.lift_derivative(x))
+    ys = _with_neighbours(np.concatenate([xs, old.table.img_knots]))
+    for y in ys.tolist() + list(ys[::5]) + [-2, 0, 3, np.int64(1)]:
+        assert _packed(f.lift_inverse(y)) == _packed(old.lift_inverse(y))
+
+
+def test_insertion_arcs_built_on_first_read():
+    d = make_denjoy(math.sqrt(2.0) - 1.0, N=30, mass=0.5)
+    assert "insertion_arcs" not in vars(d)
+    arcs = d.insertion_arcs
+    assert vars(d)["insertion_arcs"] is arcs
+    assert arcs[30] == d.wandering_arc
+    assert dataclasses.replace(d).insertion_arcs == arcs
 
 
 @LIFT_PROPERTY

@@ -275,11 +275,21 @@ class TestCombinatoricsPipeline:
         assert cb["successor_jumps"] == [1, 3, 5, 8, 13]
         assert cb["max_pullback_multiplicity"] <= cb["multiplicity_bound"]
 
-    def test_periodic_orbit_is_config_error(self, tmp_path):
-        text = ("[experiment]\npipeline = combinatorics\ncount = 8\n\n"
-                "[map]\nkind = rigid\nalpha = 0.25\n")
+    @pytest.mark.parametrize("count, map_keys, period", [
+        (8, "kind = rigid\nalpha = 0.25", 4),
+        (60, "kind = rigid\nalpha = 0.3", 10),
+        (60, "kind = arnold\nalpha = 0.1234\namplitude = 0.9", 1),
+    ])
+    def test_periodic_orbit_exits_one(self, tmp_path, capsys, count, map_keys, period):
+        """An orbit that revisits itself within 1e-12 is periodic: exit 1,
+        with the smallest index gap of such a revisit as the period."""
+        text = (f"[experiment]\npipeline = combinatorics\ncount = {count}\n\n"
+                f"[map]\n{map_keys}\n")
         rc, _ = _run(tmp_path, text)
-        assert rc == 2
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"experiment aborted: periodic orbit of period {period}: no "
+            f"disjoint arc family at count={count}\n")
 
     def test_integer_shifted_lift_pulls_back(self, tmp_path):
         # alpha = 5.41 is the circle map of alpha = 0.41, with a lift that

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _orbit_reference import orbit_lift_reference
+from _overlap_reference import first_overlap_pairwise
 from _smooth_reference import periodic_lift
 from denjoylab import (Arc, arc_image, compose, inverse_eval, make_map,
                        orbit_lift, validate_lift)
+from denjoylab.maps import first_overlap
 from denjoylab.util import circle_dist, frac
 
 
@@ -113,6 +115,56 @@ def test_arc_matches_the_former_frac_forms(base, values, tol, point_type):
     point = point_type(p)
     assert a.contains(point, tol) == _former_contains(fa, point, tol)
     assert b.contains(point, tol) == _former_contains(fb, point, tol)
+
+
+@st.composite
+def arc_families(draw):
+    """0 to 60 arcs in random row order, wrap-around ones among them.
+
+    Half the families are disjoint or touching by construction: one arc in
+    each gap between sorted cut points, the last gap wrapping past 1, each
+    arc covering a share of its gap drawn from one set per family, or the
+    last arc stretched past the first start.  The others draw starts
+    within a few 2^-54 steps of a few shared bases and lengths from 2^-60
+    to 1/2; a pair that ``Arc`` rejects is skipped.
+    """
+    m = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        # multiples of 2^-30, so that no gap reads 0.0 (as one within
+        # 2^-54 below a start does) and the families stay disjoint
+        cuts = sorted({k * 2.0 ** -30 for k in draw(st.lists(
+            st.integers(0, 2 ** 30 - 1), min_size=m, max_size=m))})
+        shares = draw(st.sampled_from(((0.5,), (0.5, 2.0 ** -40), (1.0 - 2.0 ** -52,),
+                                       (0.5, 1.0))))
+        arcs = []
+        for i, cut in enumerate(cuts):
+            gap = (cuts[(i + 1) % len(cuts)] - cut) % 1.0 or 1.0
+            share = draw(st.sampled_from(shares))
+            if i == len(cuts) - 1 and draw(st.booleans()):
+                share = 1.5     # across 1, past the first start: only that pair meets
+            try:
+                arcs.append(Arc(cut, cut + share * gap))
+            except ValueError:
+                pass
+        return draw(st.permutations(arcs))
+    bases = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3))
+    arcs = []
+    for _ in range(m):
+        start = draw(st.sampled_from(bases + [0.0])) + draw(st.integers(-3, 3)) * 2.0 ** -54
+        length = 2.0 ** -draw(st.floats(1.0, 60.0))
+        try:
+            arcs.append(Arc(start, start + length))
+        except ValueError:
+            pass
+    return arcs
+
+
+@settings(max_examples=100, deadline=None)
+# only the pair of the last and the first start in start order meets
+@example([Arc(0.05, 0.06), Arc(0.5, 0.51), Arc(0.9, 1.1)], 0.0)
+@given(arc_families(), st.sampled_from((0.0, 1e-12)))
+def test_first_overlap_matches_the_pairwise_scan(arcs, tol):
+    assert first_overlap(arcs, tol) == first_overlap_pairwise(arcs, tol)
 
 
 def test_lift_is_degree_one():
