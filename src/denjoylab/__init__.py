@@ -29,7 +29,7 @@ from .dynamics import (ConjugacyVerdict, OrbitProfile, SemiConjugacy,
                        wandering_verdict)
 from .errors import (CollapsedArcError, DegenerateTupleError, DenjoyLabError,
                      NonMonotoneMapError, NotDifferentiableError,
-                     PeriodicOrbitError, RootFindError,
+                     OverlappingArcsError, PeriodicOrbitError, RootFindError,
                      UnresolvedExtremaError)
 from .maps import (Arc, CircleDiffeo, LiftValidationReport, arc_image,
                    compose, inverse_eval, orbit_lift, validate_lift)
@@ -59,6 +59,7 @@ __all__ = [
     "NotDifferentiableError",
     "OrbitCombinatorics",
     "OrbitProfile",
+    "OverlappingArcsError",
     "PULLBACK_MULTIPLICITY_BOUND",
     "PeriodicOrbitError",
     "RootFindError",

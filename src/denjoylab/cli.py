@@ -56,7 +56,7 @@ from .combinatorics import (PULLBACK_MULTIPLICITY_BOUND,
                             intersection_multiplicity, natural_neighborhood,
                             predecessor_successor_table, pullback_arcs)
 from .crossratio import crd_variation_estimate, term_b_constant
-from .dynamics import (DEFAULT_ANCHOR, DENSE_GAP_FACTOR, conjugacy_verdict,
+from .dynamics import (DENSE_GAP_FACTOR, _orbit_start, conjugacy_verdict,
                        interval_orbit, omega_gap_profile)
 from .errors import DenjoyLabError, NonMonotoneMapError, PeriodicOrbitError
 from .maps import Arc, orbit_lift
@@ -178,17 +178,9 @@ def _verdict(report, label: str, verdict: str, **qualifier) -> None:
     })
 
 
-def _start(target, x0):
-    """The orbit start: [experiment] x0 when set, else the map's anchor.
-    A Denjoy map screens for its ``cantor_anchor`` on the first read."""
-    if x0 is not None:
-        return x0
-    return float(getattr(target, "cantor_anchor", DEFAULT_ANCHOR))
-
-
 def _stage_rotation(report, target, diffeo, x0, cfg):
     n = cfg.getint("experiment", "n", fallback=1000)
-    anchor = _start(target, x0)
+    anchor = _orbit_start(target, x0)
     lift = orbit_lift(diffeo, anchor, n)
     est = birkhoff_from_orbit(lift, n)
     report.per_stage["rotation"] = {
@@ -292,7 +284,7 @@ def _stage_combinatorics(report, target, diffeo, x0, cfg):
         raise ValueError(f"count must be >= 1, got {count}")
     base_arc = getattr(target, "wandering_arc", None)
     if base_arc is None:
-        pts = frac(orbit_lift(diffeo, _start(target, x0), count))
+        pts = frac(orbit_lift(diffeo, _orbit_start(target, x0), count))
         sorted_pts = np.sort(pts)
         gaps = np.diff(np.concatenate([sorted_pts, [sorted_pts[0] + 1.0]]))
         if float(gaps.min()) < REVISIT_TOL:
@@ -360,6 +352,7 @@ def run_experiment(text: str) -> ExperimentReport:
     The library rejects a bad parameter with ValueError, so one raised
     while reading [experiment] values or running the pipeline on them
     becomes a ConfigError, as does a depth over its ``DEPTH_LIMITS`` entry.
+    A ``DenjoyLabError`` is a runtime outcome and passes unchanged.
     """
     cfg = _parse_config(text)
     pipeline = cfg.get("experiment", "pipeline")
@@ -388,6 +381,8 @@ def run_experiment(text: str) -> ExperimentReport:
         t0 = time.monotonic()
         _STAGES[pipeline](report, target, diffeo, x0, cfg)
         elapsed = time.monotonic() - t0
+    except DenjoyLabError:
+        raise
     except ValueError as err:
         raise ConfigError(f"config error in [experiment]: {err}") from err
     report.timings[pipeline] = elapsed
@@ -475,9 +470,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    if args.action != "list":
-        print(f"unknown catalog action {args.action!r}", file=sys.stderr)
-        return 2
     width = max(len(name) for name, _ in CATALOG_ENTRIES)
     for name, blurb in CATALOG_ENTRIES:
         print(f"{name:<{width}}  {blurb}")

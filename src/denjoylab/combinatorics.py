@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import OverlappingArcsError
 from .maps import Arc, CircleDiffeo, first_overlap, inverse_eval
 from .util import ccw_gap, frac
 
@@ -87,8 +88,8 @@ def predecessor_successor_table(arcs: Sequence[Arc]) -> OrbitCombinatorics:
         raise ValueError("need at least one arc")
     clash = first_overlap(arcs)
     if clash is not None:
-        raise ValueError(f"arcs {clash[0]} and {clash[1]} overlap; the table "
-                         "needs a pairwise disjoint family")
+        raise OverlappingArcsError(f"arcs {clash[0]} and {clash[1]} overlap; "
+                                   "the table needs a pairwise disjoint family")
     count = len(arcs)
     top = count - 1
     starts = np.array([a.start for a in arcs])

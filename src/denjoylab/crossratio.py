@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTupleError, NonMonotoneMapError
+from .errors import (DegenerateTupleError, NonMonotoneMapError,
+                     OverlappingArcsError)
 from .maps import CircleDiffeo, first_overlap, orbit_lift
 from .util import adaptive_simpson
 from .variation import (_derivative, _qv_resolved, log_derivative_function,
@@ -213,8 +214,8 @@ def iterate_distortion_bound(h: CircleDiffeo, n: int, t: FourTuple,
         raise ValueError(f"need n={n} arcs, got {len(arcs)}")
     clash = first_overlap(arcs)
     if clash is not None:
-        raise ValueError(f"arcs {clash[0]} and {clash[1]} overlap; images "
-                         "must be disjoint")
+        raise OverlappingArcsError(f"arcs {clash[0]} and {clash[1]} overlap; "
+                                   "images must be disjoint")
     if not (arcs[0].contains(t.a) and arcs[0].contains(t.d)):
         raise ValueError("tuple must lie inside arcs[0]")
 

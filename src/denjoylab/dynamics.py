@@ -31,11 +31,10 @@ CANTOR_GAP_FACTOR = 20.0
 STABLE_RTOL = 0.05
 #: start point used when a map carries no distinguished anchor
 DEFAULT_ANCHOR = 0.1234567891
-#: gap within which two scanned images overlap, and length at or below
-#: which an image has contracted, in wandering_verdict
+#: gap within which two scanned images overlap in wandering_verdict
 WANDERING_TOL = 1e-12
 #: distance of a displacement F^q(x) - x to an integer p that counts as a
-#: closed orbit in _detect_period
+#: closed orbit in _orbit_and_period
 PERIOD_TOL = 1e-9
 #: most returns the period test of an n-point orbit profile compares
 PERIOD_WINDOW = 1000
@@ -122,25 +121,27 @@ class ConjugacyVerdict:
     profile: OrbitProfile | None = field(default=None, compare=False, repr=False)
 
 
-def _burn_in(budget: int) -> int:
-    return min(200, budget // 4)
+def _orbit_start(target, x0: float | None = None) -> float:
+    """The orbit start on a map object: x0 when set, else the map's
+    ``cantor_anchor`` (a Denjoy map screens for it on the first read),
+    else ``DEFAULT_ANCHOR``."""
+    if x0 is not None:
+        return x0
+    return float(getattr(target, "cantor_anchor", DEFAULT_ANCHOR))
 
 
-def _anchor_orbit(diffeo: CircleDiffeo, x0: float, n: int,
-                  budget: int) -> np.ndarray:
-    """Lift orbit of x0 long enough for n points and for _detect_period."""
-    return orbit_lift(diffeo, x0, max(n, _burn_in(budget) + budget))
-
-
-def _detect_period(orbit: np.ndarray, budget: int) -> int | None:
-    """Smallest q <= budget whose displacement after burn-in is within
-    PERIOD_TOL of an integer along the lift orbit, or None."""
-    burn_in = _burn_in(budget)
-    tail = orbit[burn_in:burn_in + budget + 1]
-    disp = tail[1:] - tail[0]
-    off = np.abs(disp - np.round(disp))
-    hits = np.nonzero(off <= PERIOD_TOL)[0]
-    return int(hits[0]) + 1 if hits.size else None
+def _orbit_and_period(diffeo: CircleDiffeo, x0: float,
+                      n: int) -> tuple[np.ndarray, int | None]:
+    """The lift orbit of x0, long enough for n points and the period
+    test, and its period: the smallest q <= w whose displacement after
+    burn-in is within PERIOD_TOL of an integer, or None.  The window w is
+    min(n, PERIOD_WINDOW), the burn-in min(200, w // 4)."""
+    window = min(n, PERIOD_WINDOW)
+    burn_in = min(200, window // 4)
+    orbit = orbit_lift(diffeo, x0, max(n, burn_in + window))
+    disp = orbit[burn_in + 1:burn_in + window + 1] - orbit[burn_in]
+    hits = np.flatnonzero(np.abs(disp - np.round(disp)) <= PERIOD_TOL)
+    return orbit, int(hits[0]) + 1 if hits.size else None
 
 
 def interval_orbit(diffeo: CircleDiffeo, arc: Arc, n: int) -> list[Arc]:
@@ -159,13 +160,10 @@ def wandering_verdict(diffeo: CircleDiffeo, arc: Arc,
                       n: int) -> WanderingVerdict:
     """Scan the arc and its first n images for pairwise disjointness.
 
-    All separated by more than ``WANDERING_TOL`` reads wandering-up-to-n.
-    Otherwise, images shrunk to ``WANDERING_TOL`` or below with no
-    detected period read contracted (shrinking without closing certifies
-    wandering at the sampled scale); any other clash reports the first
-    overlapping index pair.  An image that collapses below floating-point
-    resolution ends the scan: the images before it are judged, with
-    ``min_length`` 0.
+    All separated by more than ``WANDERING_TOL`` reads wandering-up-to-n;
+    otherwise the verdict is overlap-at the first clashing index pair.
+    An image that collapses below floating-point resolution ends the
+    scan: the images before it are judged, with ``min_length`` 0.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -179,16 +177,11 @@ def wandering_verdict(diffeo: CircleDiffeo, arc: Arc,
     first_clash = first_overlap(images, WANDERING_TOL)
     if first_clash is None:
         return WanderingVerdict("wandering-up-to-n", min_length=min_length)
-    if (min_length <= WANDERING_TOL
-            and _detect_period(_anchor_orbit(diffeo, arc.start, n, n), n) is None):
-        return WanderingVerdict("contracted", min_length=min_length)
     return WanderingVerdict("overlap-at", pair=first_clash, min_length=min_length)
 
 
 def _max_circular_gap(points: np.ndarray) -> float:
     s = np.sort(points)
-    if s.size < 2:
-        return 1.0
     gaps = np.diff(s)
     return float(max(np.max(gaps), 1.0 - s[-1] + s[0]))
 
@@ -203,13 +196,12 @@ def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int) -> OrbitProfile:
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
-    return _gap_profile(_anchor_orbit(diffeo, x0, n, min(n, PERIOD_WINDOW)), n)
+    return _gap_profile(*_orbit_and_period(diffeo, x0, n), n)
 
 
-def _gap_profile(orbit: np.ndarray, n: int) -> OrbitProfile:
-    """omega_gap_profile read from the _anchor_orbit of budget min(n, PERIOD_WINDOW)."""
+def _gap_profile(orbit: np.ndarray, period: int | None, n: int) -> OrbitProfile:
+    """omega_gap_profile read from _orbit_and_period of x0 and n."""
     pts = frac(orbit[:n + 1])
-    period = _detect_period(orbit, min(n, PERIOD_WINDOW))
 
     checkpoints = sorted({max(10, n // 4), max(10, n // 2), n})
     trend = tuple((k, _max_circular_gap(pts[:k + 1])) for k in checkpoints)
@@ -240,9 +232,7 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
-    window = min(n, PERIOD_WINDOW)
-    lift_orbit = _anchor_orbit(diffeo, x0, n, window)
-    q = _detect_period(lift_orbit, window)
+    lift_orbit, q = _orbit_and_period(diffeo, x0, n)
     if q is not None:
         raise PeriodicOrbitError(
             q, "rational case; monotone circle-map classification applies, "
@@ -251,7 +241,7 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
 
 
 def _semiconjugacy(orbit: np.ndarray, x0: float, n: int) -> SemiConjugacy:
-    """build_semiconjugacy read from the aperiodic _anchor_orbit of x0."""
+    """build_semiconjugacy read from the aperiodic _orbit_and_period of x0."""
     pts = frac(orbit[:n])
     alpha = birkhoff_from_orbit(orbit, n).value
     targets_sorted = np.sort(frac(np.arange(n) * alpha))
@@ -279,20 +269,18 @@ def _semiconjugacy(orbit: np.ndarray, x0: float, n: int) -> SemiConjugacy:
     flat = (tgt_gaps < PLATEAU_TARGET_FACTOR / n) & (
         dom_gaps > PLATEAU_DOMAIN_FACTOR / n)
 
+    # flat gaps are wider than 10/n and the n gaps sum to 1: not all are flat
     plateaus = []
-    if np.all(flat):
-        plateaus.append((Arc(domain[0], domain[0] + 1.0 - 1e-12), 1.0))
-    else:
-        for i in np.flatnonzero(flat & ~np.roll(flat, 1)).tolist():
-            j = i
-            while flat[(j + 1) % n]:
-                j += 1
-            members = [(i + k) % n for k in range(j - i + 1)]
-            lo = domain[i]
-            hi = domain[(j + 1) % n]
-            span_d = float(np.sum(dom_gaps[members]))
-            span_t = float(np.sum(tgt_gaps[members]))
-            plateaus.append((Arc(lo, hi), span_t / span_d))
+    for i in np.flatnonzero(flat & ~np.roll(flat, 1)).tolist():
+        j = i
+        while flat[(j + 1) % n]:
+            j += 1
+        members = [(i + k) % n for k in range(j - i + 1)]
+        lo = domain[i]
+        hi = domain[(j + 1) % n]
+        span_d = float(np.sum(dom_gaps[members]))
+        span_t = float(np.sum(tgt_gaps[members]))
+        plateaus.append((Arc(lo, hi), span_t / span_d))
 
     return SemiConjugacy(anchor=float(x0), alpha=float(alpha),
                          defect=float(defect), plateaus=tuple(plateaus),
@@ -313,10 +301,10 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
     if budget < 100:
         raise ValueError(f"budget must be >= 100, got {budget}")
     diffeo = getattr(target_map, "base", target_map)
-    anchor = float(getattr(target_map, "cantor_anchor", DEFAULT_ANCHOR))
+    anchor = _orbit_start(target_map)
 
-    orbit = _anchor_orbit(diffeo, anchor, budget, min(budget, PERIOD_WINDOW))
-    profile = _gap_profile(orbit, budget)
+    orbit, period = _orbit_and_period(diffeo, anchor, budget)
+    profile = _gap_profile(orbit, period, budget)
     if profile.periodicity is not None:
         return ConjugacyVerdict("rational-rotation",
                                 period=profile.periodicity,
@@ -328,7 +316,7 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
         quarter = 0.25 * arc.length
         middle = Arc(arc.start + quarter, arc.start + 3.0 * quarter)
         probe = wandering_verdict(diffeo, middle, n=PROBE_STEPS)
-        if probe.kind in ("wandering-up-to-n", "contracted"):
+        if probe.kind == "wandering-up-to-n":
             return ConjugacyVerdict(
                 "wandering-interval-found", arc=arc,
                 detail=f"plateau flatness {flatness:.3e}; images disjoint "

@@ -32,6 +32,10 @@ class CollapsedArcError(DenjoyLabError, ValueError):
     endpoints of the image no longer strictly increase."""
 
 
+class OverlappingArcsError(DenjoyLabError, ValueError):
+    """Arcs that had to be pairwise disjoint overlap."""
+
+
 class PeriodicOrbitError(DenjoyLabError):
     """A periodic orbit was detected where an irrational rotation was required."""
 

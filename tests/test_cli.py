@@ -291,6 +291,17 @@ class TestCombinatoricsPipeline:
             f"experiment aborted: periodic orbit of period {period}: no "
             f"disjoint arc family at count={count}\n")
 
+    def test_overlap_past_the_truncation_exits_one(self, tmp_path, capsys):
+        """The N = 10 map's wandering arc returns at step 99: a runtime
+        outcome of a well-formed config, so exit 1 with one line."""
+        text = ("[experiment]\npipeline = combinatorics\ncount = 100\n\n"
+                "[map]\nkind = denjoy\nalpha = 0.41421356237309515\nN = 10\n")
+        rc, _ = _run(tmp_path, text)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "experiment failed: arcs 0 and 99 overlap; the table needs a "
+            "pairwise disjoint family\n")
+
     def test_integer_shifted_lift_pulls_back(self, tmp_path):
         # alpha = 5.41 is the circle map of alpha = 0.41, with a lift that
         # moves every point by about 5.41
@@ -365,6 +376,12 @@ MESSAGES = {
     "[map]\nkind = arnold\nalpha = 0.3\namplitude = 1.0\n":
         "config error in [map]: amplitude 1.0 >= 1: lift derivative reaches "
         "zero, not a diffeomorphism",
+    RIGID: "config error: missing [experiment] section",
+    "[experiment]\npipeline = rotation\n[map]\nalpha = 0.6\n":
+        "config error: [map] needs a kind key",
+    "[experiment]\npipeline = rotation\n[map]\nkind = wat\nalpha = 0.6\n":
+        "config error: unknown map kind 'wat'",
+    ROT + "\n[sweep]\nalpha = ,\n": "config error: [sweep] alpha lists no values",
 }
 
 
@@ -513,9 +530,25 @@ class TestBudgetFlag:
         rep = run_experiment(slow)
         assert rep.incomplete is True
 
+    def test_exceeded_budget_warns_once(self, tmp_path, capsys):
+        slow = CONJ_DENJOY.replace("budget = 400",
+                                   "budget = 2000\nmax_seconds = 0.000001")
+        rc, out = _run(tmp_path, slow)
+        assert rc == 0
+        assert (out / "report.json").exists()
+        assert capsys.readouterr().err == (
+            "warning: budget exceeded, report incomplete\n")
+
 
 def test_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out
     for name in ("rigid", "arnold", "denjoy", "ex1", "ex2", "ex3"):
         assert name in out
+
+
+def test_unknown_catalog_action_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "foo"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'foo'" in capsys.readouterr().err

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _combinatorics_oracle import arc_meets_span, brute_table
-from denjoylab import (Arc, KoebeConstants, eps_scale,
+from denjoylab import (Arc, DenjoyLabError, KoebeConstants,
+                       OverlappingArcsError, eps_scale,
                        intersection_multiplicity, interval_orbit, make_map,
                        macroscopic_delta, natural_neighborhood,
                        predecessor_successor_table, pullback_arcs)
@@ -151,6 +152,12 @@ def _strictly_inside(arc, T):
 class TestTableInputs:
     def test_overlapping_arcs_rejected(self):
         with pytest.raises(ValueError):
+            predecessor_successor_table([Arc(0.0, 0.2), Arc(0.1, 0.3)])
+
+    def test_overlap_is_a_named_runtime_error(self):
+        assert issubclass(OverlappingArcsError, DenjoyLabError)
+        assert issubclass(OverlappingArcsError, ValueError)
+        with pytest.raises(OverlappingArcsError, match="arcs 0 and 1 overlap"):
             predecessor_successor_table([Arc(0.0, 0.2), Arc(0.1, 0.3)])
 
     def test_denjoy_arcs_reproduce_rotation_table(self, denjoy50):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from denjoylab import (Arc, CircleDiffeo, DegenerateTupleError, FourTuple,
-                       NonMonotoneMapError, arc_image, compose,
-                       crd_variation_estimate, cross_ratios, decompose_ab,
+                       NonMonotoneMapError, OverlappingArcsError, arc_image,
+                       compose, crd_variation_estimate, cross_ratios, decompose_ab,
                        delta_and_bound, interval_orbit,
                        iterate_distortion_bound, koebe_log_ratio,
                        log_cr_first_quadrature, make_map, term_b_constant)
@@ -197,6 +197,12 @@ class TestIterateBound:
     def test_overlapping_arcs_rejected(self, golden_rotation):
         t = FourTuple(0.0, 0.01, 0.02, 0.03)
         with pytest.raises(ValueError):
+            iterate_distortion_bound(golden_rotation, 2, t,
+                                     [Arc(0.0, 0.05), Arc(0.04, 0.09)])
+
+    def test_overlap_is_a_named_error(self, golden_rotation):
+        t = FourTuple(0.0, 0.01, 0.02, 0.03)
+        with pytest.raises(OverlappingArcsError, match="arcs 0 and 1 overlap"):
             iterate_distortion_bound(golden_rotation, 2, t,
                                      [Arc(0.0, 0.05), Arc(0.04, 0.09)])
 

@@ -56,6 +56,17 @@ class TestWanderingVerdict:
         assert v.min_length == 0.0
 
 
+    def test_clashing_images_are_no_wandering_evidence(self):
+        # alpha = 0.1 <= 0.9 / 2 pi: the map has a fixed point, so no arc
+        # wanders, though the images shrink to nothing before they clash
+        f = make_map({"kind": "arnold", "alpha": 0.1, "amplitude": 0.9})
+        assert conjugacy_verdict(f, 1000).period == 1
+        for n in (50, 200):
+            v = wandering_verdict(f, Arc(0.3, 0.31), n)
+            assert v.kind == "overlap-at"
+            assert v.min_length == 0.0
+
+
 class TestOmegaGapProfile:
     def test_irrational_rotation_fills_in(self, golden_rotation):
         prof = omega_gap_profile(golden_rotation, 0.1, n=800)
