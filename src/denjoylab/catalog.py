@@ -88,6 +88,7 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
     ``frac`` gives 0.0), so F(x + 1) = F(x) + 1 exactly.  A scalar takes
     ``math`` on a plain float, repeating the array arithmetic bit for bit;
     a NaN or infinite one raises from ``math.floor``; an array gives NaN.
+    ``lift.orbit`` runs that float path in one loop for ``maps.orbit_lift``.
     """
     kind = recipe["kind"]
     alpha = float(recipe["alpha"])
@@ -115,6 +116,17 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
                 return x + (alpha + scale * np.sin(TWO_PI * (x - np.floor(x))))
             x = float(x)
         return x + (alpha + scale * math.sin(TWO_PI * (x - math.floor(x))))
+
+    def orbit(z, n):
+        """F(z), ..., F^n(z) for a float z, by the float path above."""
+        out = []
+        append, floor, sin, two_pi = out.append, math.floor, math.sin, TWO_PI
+        for _ in range(n):
+            z = z + (alpha + scale * sin(two_pi * (z - floor(z))))
+            append(z)
+        return out
+
+    lift.orbit = orbit
 
     def lift_derivative(x):
         if type(x) is not float:

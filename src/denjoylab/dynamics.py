@@ -247,9 +247,8 @@ def _semiconjugacy(orbit: np.ndarray, x0: float, n: int) -> SemiConjugacy:
     targets_sorted = np.sort(frac(np.arange(n) * alpha))
 
     order = np.argsort(pts)
-    rank = np.empty(n, dtype=int)
-    rank[order] = np.arange(n)
-    assigned = targets_sorted[(np.arange(n) - rank[0]) % n]
+    r0 = int(np.flatnonzero(order == 0)[0])
+    assigned = np.roll(targets_sorted, r0)
 
     domain = pts[order]
     # unwrap the cyclically increasing targets into a monotone array

@@ -97,6 +97,9 @@ class CircleDiffeo:
         lift_eval: the lift F, accepting floats or numpy arrays.  It must be
             pure: the same float always gives the same float, because
             ``orbit_lift`` hands out stored orbits of the same map object.
+            It may carry ``orbit(z, n)``, a pure function giving the floats
+            F(z), ..., F^n(z) by the scalar path's arithmetic, for
+            ``orbit_lift``; a wrapper or replacement of it drops ``orbit``.
         lift_derivative: F' when the map is C1, else None.
         label: human-readable tag used in reports.
         lift_inverse: a closed-form F^{-1} on floats, or None to let
@@ -152,6 +155,7 @@ def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
     last point, so the result is bit for bit the orbit a fresh loop gives.
     Each call returns a new array; the slot is replaced, never changed in
     place, so a caller, or another thread, cannot alter a stored orbit.
+    Steps run in ``lift_eval.orbit`` if set (rigid, Arnold), else one lift call each.
     The first read of a Denjoy map's ``cantor_anchor`` fills the slot with
     the orbit it screened for that anchor, so the next call on the map's
     ``base`` from ``cantor_anchor`` iterates only past ``anchor_budget`` +
@@ -168,11 +172,15 @@ def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
     if n >= orbit.size:
         lift = diffeo.lift_eval
         z = float(orbit[-1])
-        tail = []
-        append = tail.append
-        for _ in range(n + 1 - orbit.size):
-            z = float(lift(z))
-            append(z)
+        kernel = getattr(lift, "orbit", None)
+        if kernel is not None:
+            tail = kernel(z, n + 1 - orbit.size)
+        else:
+            tail = []
+            append = tail.append
+            for _ in range(n + 1 - orbit.size):
+                z = float(lift(z))
+                append(z)
         orbit = np.concatenate([orbit, tail])
         _last_orbit = (weakref.ref(diffeo), start, orbit)
     return orbit[:n + 1].copy()

@@ -396,6 +396,54 @@ def test_orbit_lift_matches_array_lift_loop(f, x0, n):
     assert np.array_equal(orbit_lift(f, x0, n), ref)
 
 
+#: orbit starts where x - floor(x) is delicate: both zeros, and integers up
+#: to 1e6 in size with their one-ulp neighbours
+ORBIT_EDGE_STARTS = [0.0, -0.0] + _with_neighbours(
+    np.array([0.0, 1e6 - 3.0, 2.0 - 1e6])).tolist()
+orbit_start = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(ORBIT_EDGE_STARTS))
+
+
+@LIFT_PROPERTY
+@given(smooth_map(), orbit_start,
+       st.integers(1, 2000).flatmap(lambda n: st.tuples(st.integers(0, n - 1), st.just(n))))
+def test_orbit_kernel_matches_the_reference_loop(f, x0, lengths):
+    """The lift's orbit kernel gives the one-call-per-step loop's bits,
+    from a fresh slot and when it extends a stored shorter orbit."""
+    n1, n2 = lengths
+    ref = orbit_lift_reference(f, x0, n2).view(np.int64)
+    assert np.array_equal(orbit_lift(f, x0, n2).view(np.int64), ref)
+    g = dataclasses.replace(f)          # the same lift under a new slot key
+    assert np.array_equal(orbit_lift(g, x0, n1).view(np.int64), ref[:n1 + 1])
+    assert np.array_equal(orbit_lift(g, x0, n2).view(np.int64), ref)
+
+
+@LIFT_PROPERTY
+@given(smooth_map(), orbit_start, st.integers(0, 300))
+def test_wrapped_lift_falls_back_to_one_call_per_step(f, x0, n):
+    counted, calls = counting_lift(f)
+    got = orbit_lift(counted, x0, n)
+    assert np.array_equal(got.view(np.int64), orbit_lift(f, x0, n).view(np.int64))
+    assert len(calls) == n and all(type(x) is float for x in calls)
+
+
+@pytest.mark.parametrize("kind", ["rigid", "arnold"])
+def test_catalog_lifts_carry_the_orbit_kernel(kind):
+    f = make_map({"kind": kind, "alpha": 0.3, "amplitude": 0.5})
+    assert callable(getattr(f.lift_eval, "orbit", None))
+    assert f.lift_eval.orbit(0.25, 0) == []
+
+
+@pytest.mark.parametrize("kind", ["rigid", "arnold"])
+def test_non_finite_orbit_start_raises(kind):
+    f = make_map({"kind": kind, "alpha": 0.3, "amplitude": 0.5})
+    for diffeo in (f, counting_lift(f)[0]):
+        with pytest.raises(ValueError):
+            orbit_lift(diffeo, math.nan, 3)
+        for x0 in (math.inf, -math.inf):
+            with pytest.raises(OverflowError):
+                orbit_lift(diffeo, x0, 3)
+
+
 #: points where x - floor(x) is delicate: both zeros, a negative x whose
 #: fractional part rounds to 1.0, and integers with their one-ulp neighbours
 SMOOTH_EDGE_POINTS = [0.0, -0.0, -2.0 ** -60] + [
