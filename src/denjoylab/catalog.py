@@ -463,7 +463,7 @@ def _ex2(depth: int) -> IntervalFunction:
 
     oracle = OracleInfo(total_variation=takagi_total_variation(depth),
                         zygmund_variation_bounded=True,
-                        zygmund_norm_bounded=True)
+                        zygmund_norm_bounded=False)
     return IntervalFunction(domain=(0.0, 1.0), eval=f, oracle=oracle,
                             label=f"ex2 (tent sum, depth {depth})")
 
@@ -500,9 +500,10 @@ def example_function(name: str, depth: int = DEFAULT_TENT_DEPTH) -> IntervalFunc
          unbounded.  ``depth`` is ignored.
     ex2: the tent-series partial sum of ``depth`` + 1 layers on [0, 1];
          total variation is ``takagi_total_variation(depth)``, unbounded
-         but growing like sqrt(depth), while the scaled second
-         differences stay uniformly bounded.  ``depth`` is at most
-         ``MAX_TENT_DEPTH``, else ValueError.
+         but growing like sqrt(depth).  Not in the Zygmund class: the
+         scaled second difference at 1/2 and step 2^-k is 4 (k - 2) for
+         k <= depth + 1, so its bound grows by 4 per layer.  ``depth``
+         is at most ``MAX_TENT_DEPTH``, else ValueError.
     ex3: on each dyadic block [2^-(n+1), 2^-n] a tent of height 1/n,
          n = 1..depth.  Quadratic variation is exactly sum of 2/n^2;
          the midpoint second differences diverge harmonically.
@@ -523,6 +524,6 @@ CATALOG_ENTRIES: tuple[tuple[str, str], ...] = (
     ("arnold", "sine-perturbed rotation with amplitude < 1 (make_map)"),
     ("denjoy", "truncated wandering-interval diffeomorphism (make_denjoy)"),
     ("ex1", "bounded variation, unbounded scaled second difference"),
-    ("ex2", "unbounded variation, bounded scaled second difference"),
+    ("ex2", "unbounded variation, scaled second difference growing with depth"),
     ("ex3", "bounded quadratic variation, divergent midpoint sums"),
 )

@@ -238,7 +238,8 @@ def macroscopic_delta(B: float, eps: float) -> KoebeConstants:
 
     With distortion budget B the ratio bound is C = 3 e^B; i_star is
     the smallest i with (1 + 1/C)^i - 1 > 1/eps and
-    delta = 1 / (2^i_star - 1).
+    delta = 1 / (2^i_star - 1), correctly rounded where 2^i_star - 1
+    overflows a float (0.0 once it underflows).
     """
     if B < 0.0:
         raise ValueError(f"B must be >= 0, got {B}")
@@ -252,7 +253,10 @@ def macroscopic_delta(B: float, eps: float) -> KoebeConstants:
         i_star -= 1
     while math.expm1(i_star * step) <= 1.0 / eps:
         i_star += 1
-    delta = 1.0 / math.expm1(i_star * math.log(2.0))
+    try:
+        delta = 1.0 / math.expm1(i_star * math.log(2.0))
+    except OverflowError:  # 2^i - 1 past the floats: the exact quotient
+        delta = 1 / (2 ** min(i_star, 1076) - 1)  # rounds to 0.0 from 1076
     return KoebeConstants(B=float(B), C=C, eps=float(eps), delta=delta,
                           i_star=i_star)
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .catalog import IntervalFunction
 from .errors import NotDifferentiableError, UnresolvedExtremaError
@@ -25,6 +26,8 @@ DIVERGENCE_RATIO = 1.10
 CONVERGENCE_RATIO = 1.01
 #: depth cap for the quadratic-cost midpoint-sum estimator
 MAX_ZV_DEPTH = 12
+#: rows per block of the partition DPs' max-plus kernel
+DP_BLOCK = 16
 
 
 def total_variation_estimate(f: IntervalFunction, depth: int) -> float:
@@ -40,6 +43,60 @@ def total_variation_estimate(f: IntervalFunction, depth: int) -> float:
     return float(np.sum(np.abs(np.diff(vals))))
 
 
+def _max_plus(p: int, rows) -> float:
+    """best[p - 1] of best[0] = 0, best[j] = max over i < j of
+    best[i] + T[j, i], for terms T that do not depend on best.
+
+    Rows 1..p-1 go in blocks of ``DP_BLOCK``; ``rows(J, k)`` returns
+    T[J, :k] for a slice J of rows as one 2-D array, k the last row's
+    index.  The columns before a block reduce in one array call, and the
+    triangle inside it (at most 120 pairs) runs on plain floats, so no
+    array call runs per row.  Every candidate is the one float sum
+    best[i] + T[j, i] and a max picks exactly, so each row's value is the
+    one the per-row array loop gives; a NaN candidate makes its row NaN,
+    as in ``ndarray.max`` (Python's ``max`` would depend on where the NaN
+    sits).
+    """
+    best = np.zeros(p)
+    for j0 in range(1, p, DP_BLOCK):
+        j1 = min(j0 + DP_BLOCK, p)
+        t = rows(slice(j0, j1), j1 - 1)
+        outer = t[:, :j0]
+        np.add(outer, best[:j0], out=outer)
+        block = []
+        for m, terms in zip(outer.max(axis=1).tolist(), t[:, j0:].tolist()):
+            for b, term in zip(block, terms):
+                c = b + term
+                if c > m or c != c:
+                    m = c
+            block.append(m)
+        best[j0:j1] = block
+    return float(best[-1])
+
+
+def _zygmund_dp(fine: np.ndarray) -> float:
+    """Best midpoint-second-difference sum over partitions whose
+    breakpoints are the even-indexed ``fine`` samples."""
+    coarse = fine[::2].copy()
+    mids = sliding_window_view(2.0 * fine, coarse.size - 1)  # [j, i]: 2 fine[i + j]
+
+    def rows(J, k):
+        t = np.add(coarse[:k], coarse[J, None])
+        np.subtract(t, mids[J, :k], out=t)
+        return np.abs(t, out=t)
+
+    return _max_plus(coarse.size, rows)
+
+
+def _quadratic_dp(ext: np.ndarray) -> float:
+    """Best squared-increment sum over subsets of the extrema ``ext``."""
+    def rows(J, k):
+        t = np.subtract(ext[J, None], ext[:k])
+        return np.multiply(t, t, out=t)
+
+    return _max_plus(ext.size, rows)
+
+
 def zygmund_variation_estimate(f: IntervalFunction, depth: int) -> float:
     """Largest midpoint-second-difference sum over partitions with dyadic
     breakpoints of level <= depth.
@@ -50,29 +107,17 @@ def zygmund_variation_estimate(f: IntervalFunction, depth: int) -> float:
     non-decreasing in depth, and is a lower bound for the full sup over
     arbitrary partitions.
 
-    Each step works in place in one buffer: |f(a) + f(b) - 2 f(mid)| is
-    taken in that order of operations from a doubled copy of the fine
-    samples (exact, a power-of-two scale), so every candidate, and hence
-    the max, is the one the plain expression gives, NaN included.
+    The DP runs in ``_max_plus``, ``DP_BLOCK`` rows at a time.  The term
+    of breakpoints i < j is |(f(a_i) + f(a_j)) - 2 f(mid)| in that order
+    of operations, the doubled fine samples (exact, a power-of-two scale)
+    read through a sliding window with no gather, so every candidate is
+    the one the plain expression gives; a NaN term makes the result NaN.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     lo, hi = f.domain
-    fine = np.asarray(f.eval(dyadic_grid(lo, hi, depth + 1)), dtype=float)
-    coarse = fine[::2].copy()
-    twice = 2.0 * fine
-    p = coarse.size
-    dp = np.empty(p)
-    dp[0] = 0.0
-    buf = np.empty(p)
-    for j in range(1, p):
-        w = buf[:j]
-        np.add(coarse[:j], coarse[j], out=w)
-        np.subtract(w, twice[j:2 * j], out=w)
-        np.abs(w, out=w)
-        np.add(dp[:j], w, out=w)
-        dp[j] = w.max()
-    return float(dp[-1])
+    return _zygmund_dp(np.asarray(f.eval(dyadic_grid(lo, hi, depth + 1)),
+                                  dtype=float))
 
 
 def _extrema(diffs: np.ndarray) -> np.ndarray:
@@ -99,9 +144,10 @@ def quadratic_variation(f: IntervalFunction, resolution: int) -> float:
     extrema by dynamic programming.  The function is sampled on
     2**resolution cells; an interior run spanning a single cell means two
     extrema closer than the cell width, which the sample cannot certify.
-    The DP squares each increment in place in one buffer, the same
-    operations as (ext[j] - ext[:j]) ** 2, so the result is unchanged to
-    the bit.
+    The DP runs in ``_max_plus``, ``DP_BLOCK`` rows at a time.  The term
+    of extrema i < j is (ext[j] - ext[i]) squared as one product, the
+    operations of (ext[j] - ext[:j]) ** 2, so the result is unchanged to
+    the bit; a NaN term makes the result NaN.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
@@ -113,16 +159,7 @@ def quadratic_variation(f: IntervalFunction, resolution: int) -> float:
     if close.size:
         start = idx[1 + close[0]]
         raise UnresolvedExtremaError((float(grid[start]), float(grid[start + 1])))
-    ext = vals[idx]
-    best = np.zeros(ext.size)
-    buf = np.empty(ext.size)
-    for j in range(1, ext.size):
-        w = buf[:j]
-        np.subtract(ext[j], ext[:j], out=w)
-        np.multiply(w, w, out=w)
-        np.add(best[:j], w, out=w)
-        best[j] = w.max()
-    return float(best[-1])
+    return _quadratic_dp(vals[idx])
 
 
 def zygmund_norm_profile(f: IntervalFunction, scales: int) -> np.ndarray:

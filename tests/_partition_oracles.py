@@ -5,8 +5,8 @@ shared code path into the package, so agreement is meaningful evidence.
 ``qv_scan_reference`` is the quadratic variation's former one-increment-
 at-a-time extrema scan, kept as the reference for the array version;
 ``qv_dp_reference`` and ``zv_dp_reference`` are the two partition DPs as
-they were written before they ran in place in one buffer, kept as the
-bit-for-bit references for those kernels.
+plain per-row array loops, the bit-for-bit references for the package's
+blocked max-plus kernel.
 """
 from itertools import combinations
 

@@ -127,6 +127,8 @@ def test_criterion_04_example_catalog_signatures():
         rep = classify_regularity(example_function("ex3", depth=d), d)
         assert rep.diverging["zv"]
 
+    # a bound over 8 scales only: the tent sum is not in the Zygmund
+    # class, and its profile grows by 4 per scale up to its depth
     norms = [zygmund_norm_estimate(example_function("ex2", depth=d), 8)
              for d in range(4, 17)]
     assert max(norms) <= 24.0 + 1e-9

@@ -140,7 +140,7 @@ class TestExampleFunctions:
         assert ex1.total_variation == pytest.approx(2.0)
         assert not ex1.zygmund_norm_bounded
         ex2 = example_function("ex2", 8).oracle
-        assert ex2.zygmund_norm_bounded
+        assert ex2.zygmund_norm_bounded is False
         assert ex2.total_variation == pytest.approx(takagi_total_variation(8))
         ex3 = example_function("ex3", 8).oracle
         assert ex3.quadratic_variation == pytest.approx(

@@ -243,6 +243,20 @@ class TestMacroscopicDelta:
             for eps in (0.05, 0.3, 1.0, 8.0):
                 assert macroscopic_delta(b, eps).delta <= eps + 1e-12
 
+    def test_large_budget_does_not_overflow(self):
+        # 2^i_star - 1 is past the floats here, and delta underflows to 0.0
+        k = macroscopic_delta(10.0, 1.0)
+        assert k.i_star > 1076 and k.delta == 0.0
+
+    def test_delta_does_not_grow_across_the_float_range(self):
+        # i_star crosses 1024 (2^i - 1 overflows) inside this budget range
+        ks = [macroscopic_delta(float(b), 0.01) for b in np.linspace(4.2, 4.4, 201)]
+        deltas = [k.delta for k in ks]
+        assert deltas == sorted(deltas, reverse=True)
+        # past the floats, 1 / (2^i - 1) rounds to the subnormal 2^-i
+        past = [k for k in ks if 1024 < k.i_star <= 1074]
+        assert past and all(k.delta == math.ldexp(1.0, -k.i_star) for k in past)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             macroscopic_delta(-0.1, 1.0)

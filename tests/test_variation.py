@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _partition_oracles import (monotone_runs, qv_oracle, qv_scan_reference,
-                                tv_oracle, zv_dp_reference, zv_oracle)
+from _partition_oracles import (monotone_runs, qv_dp_reference, qv_oracle,
+                                qv_scan_reference, tv_oracle, zv_dp_reference,
+                                zv_oracle)
 from denjoylab import (IntervalFunction, NotDifferentiableError,
                        UnresolvedExtremaError, classify_regularity,
                        example_function, make_map, quadratic_variation)
 from denjoylab.util import dyadic_grid
-from denjoylab.variation import (_extrema, log_derivative_function,
-                                 probe_depths, total_variation_estimate,
+from denjoylab.variation import (_extrema, _quadratic_dp, _zygmund_dp,
+                                 log_derivative_function, probe_depths,
+                                 total_variation_estimate,
                                  zygmund_norm_estimate, zygmund_norm_profile,
                                  zygmund_variation_estimate)
 
@@ -146,9 +148,52 @@ def _kernel_input(data, denjoy50):
     return depth, vals
 
 
+# p = 33 breakpoints: rows 1-16 and 17-32 are two blocks of the DP kernel.
+# Each case sets (fine samples of the midpoint DP, extrema of the QV DP)
+# by index; inf + -inf and inf - inf make a NaN term of one pair.
+_PLACEMENTS = {
+    "nan-in-outer-columns-only": ({33: math.nan}, {3: math.inf, 20: math.inf}),
+    "nan-in-a-triangle-only": ({36: math.inf, 50: -math.inf},
+                               {18: math.inf, 25: math.inf}),
+    "nan-in-the-first-row": ({1: math.nan}, {0: math.inf, 1: math.inf}),
+    "nan-in-a-block-first-row": ({34: math.nan}, {17: math.nan}),
+    "inf-minus-inf": ({36: math.inf, 43: math.inf},
+                      {18: -math.inf, 25: -math.inf}),
+    "inf-without-nan": ({36: math.inf}, {18: math.inf}),
+}
+
+
 class TestPartitionKernels:
     """Both DPs against their former loops, compared by repr so that
     every bit counts and NaN equals NaN."""
+
+    @pytest.mark.parametrize("p", [2, 3, 16, 17, 18, 33])
+    def test_sizes_around_block_edges(self, p):
+        rng = np.random.default_rng(p)
+        for _ in range(5):
+            fine, ext = rng.normal(size=2 * p - 1), rng.normal(size=p)
+            assert repr(_zygmund_dp(fine)) == repr(zv_dp_reference(fine))
+            assert repr(_quadratic_dp(ext)) == repr(qv_dp_reference(ext))
+
+    @pytest.mark.parametrize("depth", [11, 12])
+    def test_deep_inputs(self, depth, denjoy50):
+        for f in (example_function("ex1"), log_derivative_function(denjoy50.base)):
+            lo, hi = f.domain
+            fine = np.asarray(f.eval(dyadic_grid(lo, hi, depth + 1)), dtype=float)
+            assert repr(zygmund_variation_estimate(f, depth)) == repr(
+                zv_dp_reference(fine))
+        ext = np.random.default_rng(depth).normal(size=2**depth + 1)
+        assert repr(_quadratic_dp(ext)) == repr(qv_dp_reference(ext))
+
+    @pytest.mark.parametrize("case", sorted(_PLACEMENTS))
+    def test_nan_and_inf_placements(self, case):
+        rng = np.random.default_rng(33)
+        fine, ext = rng.normal(size=65), rng.normal(size=33)
+        for values, placed in zip((fine, ext), _PLACEMENTS[case]):
+            values[list(placed)] = list(placed.values())
+        with np.errstate(invalid="ignore"):
+            assert repr(_zygmund_dp(fine)) == repr(zv_dp_reference(fine))
+            assert repr(_quadratic_dp(ext)) == repr(qv_dp_reference(ext))
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
@@ -214,6 +259,12 @@ class TestZygmundNorm:
                 for d in range(4, 17)]
         assert max(vals) == 24.0
         assert vals[3:] == [24.0] * 10
+
+    def test_second_example_profile_grows_by_four_per_scale(self):
+        # every layer coarser than the step kinks at the dyadic point, so
+        # the tent sum is not in the Zygmund class
+        prof = zygmund_norm_profile(example_function("ex2", 20), 18)
+        assert prof.tolist() == [4.0, 4.0] + [4.0 * (k - 2) for k in range(3, 19)]
 
     def test_estimate_is_profile_max(self):
         f = example_function("ex1", 8)
