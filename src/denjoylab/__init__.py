@@ -28,9 +28,9 @@ from .dynamics import (ConjugacyVerdict, OrbitProfile, SemiConjugacy,
                        conjugacy_verdict, interval_orbit, omega_gap_profile,
                        wandering_verdict)
 from .errors import (CollapsedArcError, DegenerateTupleError, DenjoyLabError,
-                     NonMonotoneMapError, NotDifferentiableError,
-                     OverlappingArcsError, PeriodicOrbitError, RootFindError,
-                     UnresolvedExtremaError)
+                     FloatRangeError, NonMonotoneMapError,
+                     NotDifferentiableError, OverlappingArcsError,
+                     PeriodicOrbitError, RootFindError, UnresolvedExtremaError)
 from .maps import (Arc, CircleDiffeo, LiftValidationReport, arc_image,
                    compose, inverse_eval, orbit_lift, validate_lift)
 from .rotation import RotationEstimate, birkhoff_estimate
@@ -51,6 +51,7 @@ __all__ = [
     "DenjoyLabError",
     "DenjoyMap",
     "DistortionBreakdown",
+    "FloatRangeError",
     "FourTuple",
     "IntervalFunction",
     "KoebeConstants",

@@ -17,7 +17,7 @@ Config layout::
     function = ex2        ; variation only: ex1 | ex2 | ex3 in place of log Df
     function_depth = 12   ; depth of that example function,
                           ; <= MAX_FUNCTION_DEPTH
-    count = 60            ; combinatorics orbit arcs
+    count = 60            ; combinatorics orbit arcs, <= 1000
     emit_series = true    ; write series_<stage>.csv
     max_seconds = 120     ; optional wall budget > 0, report flagged
                           ; incomplete when exceeded
@@ -55,9 +55,10 @@ from .catalog import (CATALOG_ENTRIES, example_function, make_denjoy,
 from .combinatorics import (PULLBACK_MULTIPLICITY_BOUND,
                             intersection_multiplicity, natural_neighborhood,
                             predecessor_successor_table, pullback_arcs)
-from .crossratio import crd_variation_estimate, term_b_constant
-from .dynamics import (DENSE_GAP_FACTOR, _orbit_start, conjugacy_verdict,
-                       interval_orbit, omega_gap_profile)
+from .crossratio import crd_variation_estimate
+from .dynamics import (DENSE_GAP_FACTOR, PERIOD_WINDOW, _orbit_and_period,
+                       _orbit_start, conjugacy_verdict, interval_orbit,
+                       omega_gap_profile)
 from .errors import DenjoyLabError, NonMonotoneMapError, PeriodicOrbitError
 from .maps import Arc, orbit_lift
 from .rotation import birkhoff_from_orbit
@@ -65,7 +66,7 @@ from .util import frac
 from .variation import (classify_regularity, log_derivative_function,
                         probe_depths)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 PIPELINES = ("rotation", "variation", "crossratio", "conjugacy",
              "combinatorics", "full-criterion")
 
@@ -78,11 +79,10 @@ MAX_DEPTH = 19
 #: largest [experiment] function_depth: a layer of an example function
 #: deeper than the finest grid at MAX_DEPTH is zero on every grid point
 MAX_FUNCTION_DEPTH = MAX_DEPTH + 6
-#: [experiment] key -> the largest value a config may set
-DEPTH_LIMITS = {"depth": MAX_DEPTH, "function_depth": MAX_FUNCTION_DEPTH}
-#: circle distance below which two orbit points of the combinatorics stage
-#: count as a revisit: the orbit is periodic, and no disjoint arc family exists
-REVISIT_TOL = 1e-12
+#: [experiment] key -> the largest value a config may set; a combinatorics
+#: count up to PERIOD_WINDOW lets the period test compare every lag
+DEPTH_LIMITS = {"depth": MAX_DEPTH, "function_depth": MAX_FUNCTION_DEPTH,
+                "count": PERIOD_WINDOW}
 
 
 class ConfigError(DenjoyLabError):
@@ -229,11 +229,8 @@ def _stage_variation(report, target, diffeo, x0, cfg):
 def _stage_crossratio(report, target, diffeo, x0, cfg):
     depth = cfg.getint("experiment", "depth", fallback=5)
     est = crd_variation_estimate(diffeo, partition_depth=depth)
-    k3 = term_b_constant(diffeo, 0.1, 0.35)
-    report.per_stage["crossratio"] = {
-        "crd_variation": est, "partition_depth": depth,
-        "term_b_constant_sample": k3,
-    }
+    report.per_stage["crossratio"] = {"crd_variation": est,
+                                      "partition_depth": depth}
     _verdict(report, "crd-variation", f"{est:.6e}", partition_depth=depth)
 
 
@@ -265,32 +262,18 @@ def _stage_conjugacy(report, target, diffeo, x0, cfg):
     ]
 
 
-def _revisit_gap(pts: np.ndarray) -> int:
-    """The smallest index gap q between two points of [0, 1) closer than
-    ``REVISIT_TOL`` on the circle.  Each pair's two gaps are computed as
-    the sorted gaps of ``_stage_combinatorics`` are, so when one of those
-    is below ``REVISIT_TOL``, some q is found."""
-    for q in range(1, pts.size):
-        lo = np.minimum(pts[q:], pts[:-q])
-        hi = np.maximum(pts[q:], pts[:-q])
-        if float(np.min(np.minimum(hi - lo, lo + 1.0 - hi))) < REVISIT_TOL:
-            return q
-    raise AssertionError(f"no two points within {REVISIT_TOL}")
-
-
 def _stage_combinatorics(report, target, diffeo, x0, cfg):
     count = cfg.getint("experiment", "count", fallback=60)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     base_arc = getattr(target, "wandering_arc", None)
     if base_arc is None:
-        pts = frac(orbit_lift(diffeo, _orbit_start(target, x0), count))
-        sorted_pts = np.sort(pts)
-        gaps = np.diff(np.concatenate([sorted_pts, [sorted_pts[0] + 1.0]]))
-        if float(gaps.min()) < REVISIT_TOL:
-            q = _revisit_gap(pts)
+        orbit, q = _orbit_and_period(diffeo, _orbit_start(target, x0), count)
+        if q is not None:
             raise PeriodicOrbitError(q, f"periodic orbit of period {q}: no "
                                         f"disjoint arc family at count={count}")
+        pts = frac(orbit)
+        gaps = np.diff(np.sort(pts), append=pts.min() + 1.0)
         half = 0.25 * float(gaps.min())
         arcs = [Arc(p - half, p + half) for p in pts]
     else:
@@ -319,21 +302,26 @@ def _stage_combinatorics(report, target, diffeo, x0, cfg):
 
 
 def _stage_full(report, target, diffeo, x0, cfg):
-    _stage_crossratio(report, target, diffeo, x0, cfg)
-    _stage_variation(report, target, diffeo, x0, cfg)
-    _stage_conjugacy(report, target, diffeo, x0, cfg)
-    finite_evidence = not report.per_stage["variation"]["diverging"]["zv"]
-    no_wandering = report.per_stage["conjugacy"]["kind"] == "conjugate-evidence"
-    consistent = finite_evidence == no_wandering
-    report.per_stage["criterion"] = {
-        "finite_distortion_evidence": finite_evidence,
-        "no_wandering_interval": no_wandering,
-        "consistent": consistent,
-    }
-    _verdict(report, "criterion-consistency",
-             "consistent" if consistent else "inconsistent",
-             finite_zv_qv_evidence=finite_evidence,
-             no_wandering_interval=no_wandering)
+    """The stages, then the criterion block.  A rational map is outside
+    the criteria: not-applicable, with its period.  Otherwise consistent
+    when finite zv, the one evidence read, agrees with no wandering arc."""
+    for stage in (_stage_crossratio, _stage_variation, _stage_conjugacy):
+        stage(report, target, diffeo, x0, cfg)
+    crit = {"finite_distortion_evidence":
+            not report.per_stage["variation"]["diverging"]["zv"]}
+    conj = report.per_stage["conjugacy"]
+    if conj["kind"] == "rational-rotation":
+        crit.update(period=conj["period"], consistent=None)
+        verdict, evidence = "not-applicable", {"period": conj["period"]}
+    else:
+        crit["no_wandering_interval"] = conj["kind"] == "conjugate-evidence"
+        crit["consistent"] = (crit["finite_distortion_evidence"]
+                              == crit["no_wandering_interval"])
+        verdict = "consistent" if crit["consistent"] else "inconsistent"
+        evidence = {"finite_zv_qv_evidence": crit["finite_distortion_evidence"],
+                    "no_wandering_interval": crit["no_wandering_interval"]}
+    report.per_stage["criterion"] = crit
+    _verdict(report, "criterion-consistency", verdict, **evidence)
 
 
 _STAGES = {

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OverlappingArcsError
+from .errors import FloatRangeError, OverlappingArcsError
 from .maps import Arc, CircleDiffeo, first_overlap, inverse_eval
 from .util import ccw_gap, frac
 
@@ -236,27 +236,35 @@ def macroscopic_delta(B: float, eps: float) -> KoebeConstants:
     """Constants guaranteeing a delta-scaled neighborhood at the source
     of a pullback whose image neighborhood is eps-scaled.
 
-    With distortion budget B the ratio bound is C = 3 e^B; i_star is
-    the smallest i with (1 + 1/C)^i - 1 > 1/eps and
+    With distortion budget B the ratio bound is C = 3 e^B; i_star, the
+    smallest i with (1 + 1/C)^i - 1 > 1/eps, is bisected in floats, and
     delta = 1 / (2^i_star - 1), correctly rounded where 2^i_star - 1
-    overflows a float (0.0 once it underflows).
+    overflows a float (0.0 once it underflows).  FloatRangeError where
+    i_star or 1/eps passes 2^1022, as from B = 707.7 at eps = 1.
     """
-    if B < 0.0:
+    if not B >= 0.0:
         raise ValueError(f"B must be >= 0, got {B}")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    C = 3.0 * math.exp(B)
-    step = math.log1p(1.0 / C)
-    goal = math.log1p(1.0 / eps)
-    i_star = max(1, int(math.floor(goal / step)) + 1)
-    while i_star > 1 and math.expm1((i_star - 1) * step) > 1.0 / eps:
-        i_star -= 1
-    while math.expm1(i_star * step) <= 1.0 / eps:
-        i_star += 1
-    try:
-        delta = 1.0 / math.expm1(i_star * math.log(2.0))
-    except OverflowError:  # 2^i - 1 past the floats: the exact quotient
-        delta = 1 / (2 ** min(i_star, 1076) - 1)  # rounds to 0.0 from 1076
-    return KoebeConstants(B=float(B), C=C, eps=float(eps), delta=delta,
-                          i_star=i_star)
+    C = 3.0 * math.exp(min(B, 709.0))  # inf from B = 708.7, no OverflowError
+    step, goal = math.log1p(1.0 / C), math.log1p(1.0 / eps)
+    if not (1.0 / eps < 2.0 ** 1022 and goal < step * 2.0 ** 1022):
+        raise FloatRangeError(f"B = {B}, eps = {eps}: i_star or 1/eps "
+                              f"passes 2^1022")
 
+    def exceeds(i: int) -> bool:  # true past goal + 1, where expm1 may overflow
+        return i * step > goal + 1.0 or math.expm1(i * step) > 1.0 / eps
+
+    # past 2^53 neighbouring i give one float i * step: bisect, never step
+    lo, hi = 0, int(goal / step) + 1
+    while not exceeds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if exceeds(mid) else (mid, hi)
+    try:
+        delta = 1.0 / math.expm1(hi * math.log(2.0))
+    except OverflowError:  # 2^i - 1 past the floats: the exact quotient
+        delta = 1 / (2 ** min(hi, 1076) - 1)  # rounds to 0.0 from 1076
+    return KoebeConstants(B=float(B), C=C, eps=float(eps), delta=delta,
+                          i_star=hi)

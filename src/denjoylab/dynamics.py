@@ -36,7 +36,8 @@ WANDERING_TOL = 1e-12
 #: distance of a displacement F^q(x) - x to an integer p that counts as a
 #: closed orbit in _orbit_and_period
 PERIOD_TOL = 1e-9
-#: most returns the period test of an n-point orbit profile compares
+#: most returns the period test compares; x_w stays below the lift
+#: magnitudes where rounding over q steps passes PERIOD_TOL
 PERIOD_WINDOW = 1000
 #: steps of the disjointness scan that confirms a plateau as wandering
 PROBE_STEPS = 50
@@ -132,14 +133,13 @@ def _orbit_start(target, x0: float | None = None) -> float:
 
 def _orbit_and_period(diffeo: CircleDiffeo, x0: float,
                       n: int) -> tuple[np.ndarray, int | None]:
-    """The lift orbit of x0, long enough for n points and the period
-    test, and its period: the smallest q <= w whose displacement after
-    burn-in is within PERIOD_TOL of an integer, or None.  The window w is
-    min(n, PERIOD_WINDOW), the burn-in min(200, w // 4)."""
+    """The n-step lift orbit of x0 and its period: the smallest q <= w
+    with x_w - x_(w-q) within PERIOD_TOL of an integer, or None, where
+    w = min(n, PERIOD_WINDOW).  The lab's one period test: x_w against its
+    own returns, so an orbit closing in on an attracting cycle closes."""
+    orbit = orbit_lift(diffeo, x0, n)
     window = min(n, PERIOD_WINDOW)
-    burn_in = min(200, window // 4)
-    orbit = orbit_lift(diffeo, x0, max(n, burn_in + window))
-    disp = orbit[burn_in + 1:burn_in + window + 1] - orbit[burn_in]
+    disp = orbit[window] - orbit[window - 1::-1]
     hits = np.flatnonzero(np.abs(disp - np.round(disp)) <= PERIOD_TOL)
     return orbit, int(hits[0]) + 1 if hits.size else None
 
@@ -305,8 +305,7 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
     orbit, period = _orbit_and_period(diffeo, anchor, budget)
     profile = _gap_profile(orbit, period, budget)
     if profile.periodicity is not None:
-        return ConjugacyVerdict("rational-rotation",
-                                period=profile.periodicity,
+        return ConjugacyVerdict("rational-rotation", period=period,
                                 detail="closed displacement detected",
                                 profile=profile)
     semi = _semiconjugacy(orbit, anchor, budget)

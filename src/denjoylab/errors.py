@@ -32,6 +32,10 @@ class CollapsedArcError(DenjoyLabError, ValueError):
     endpoints of the image no longer strictly increase."""
 
 
+class FloatRangeError(DenjoyLabError, OverflowError):
+    """A constant the caller asked for lies past the range of floats."""
+
+
 class OverlappingArcsError(DenjoyLabError, ValueError):
     """Arcs that had to be pairwise disjoint overlap."""
 

@@ -1,7 +1,9 @@
 """The denjoy-lab command: configs, pipelines, reports and sweeps."""
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _orbit_reference import orbit_lift_reference
 from conftest import count_lift_in_place
@@ -69,7 +71,7 @@ class TestRotationPipeline:
         rc, out = _run(tmp_path, ROT)
         assert rc == 0
         rep = json.loads((out / "report.json").read_text())
-        assert rep["schema_version"] == 2
+        assert rep["schema_version"] == 3
         assert abs(rep["per_stage"]["rotation"]["value"] - 0.618) < 1e-9
         assert rep["per_stage"]["rotation"]["error_bound"] == 0.002
         csv = (out / "series_rotation.csv").read_text().splitlines()
@@ -178,12 +180,11 @@ class TestDenjoyAnchorOrbit:
 
     def test_conjugacy_iterates_only_past_the_stored_orbit(self, monkeypatch):
         target, calls = self._lift_calls(monkeypatch, "conjugacy")
+        # make_denjoy stored z_0 .. z_1101; the verdict's 1 000-step anchor
+        # orbit lies inside it, so no anchor orbit point reaches the lift
+        assert target.anchor_budget == 1100
         ref = orbit_lift_reference(target.base, target.cantor_anchor, 1200).tolist()
-        # make_denjoy stored z_0 .. z_end; the verdict's 1 200-step anchor
-        # orbit comes first and evaluates the lift at z_end .. z_1199 only
-        end = target.anchor_budget + 1
-        assert calls[:1200 - end] == ref[end:1200]
-        assert not set(ref[:end]) & {x for x in calls if isinstance(x, float)}
+        assert not set(ref) & {x for x in calls if isinstance(x, float)}
 
 
 class TestVariationPipeline:
@@ -231,16 +232,16 @@ class TestConjugacyPipeline:
         return steps
 
     def test_stage_iterates_each_anchor_once(self, monkeypatch):
-        # burn-in 200 plus the period budget 1000, shared by the verdict's
-        # period, semi-conjugacy and gap profile
-        assert self._orbit_steps(monkeypatch) == [1200]
+        # the budget, shared by the verdict's period, semi-conjugacy and
+        # gap profile
+        assert self._orbit_steps(monkeypatch) == [1000]
 
     def test_x0_gap_profile_iterates_its_own_orbit(self, monkeypatch):
         steps = self._orbit_steps(monkeypatch, extra="\nx0 = 0.3")
-        assert steps == [1200, 1200]
+        assert steps == [1000, 1000]
 
     def test_full_criterion_iterates_each_anchor_once(self, monkeypatch):
-        assert self._orbit_steps(monkeypatch, "full-criterion") == [1200]
+        assert self._orbit_steps(monkeypatch, "full-criterion") == [1000]
 
     def test_x0_moves_only_the_gap_profile(self):
         text = CONJ_DENJOY.replace("budget = 400", "budget = 400\nx0 = 0.3")
@@ -281,8 +282,9 @@ class TestCombinatoricsPipeline:
         (60, "kind = arnold\nalpha = 0.1234\namplitude = 0.9", 1),
     ])
     def test_periodic_orbit_exits_one(self, tmp_path, capsys, count, map_keys, period):
-        """An orbit that revisits itself within 1e-12 is periodic: exit 1,
-        with the smallest index gap of such a revisit as the period."""
+        """An orbit whose point x_count returns within PERIOD_TOL is
+        periodic: exit 1, with the smallest such return time as the
+        period."""
         text = (f"[experiment]\npipeline = combinatorics\ncount = {count}\n\n"
                 f"[map]\n{map_keys}\n")
         rc, _ = _run(tmp_path, text)
@@ -290,6 +292,18 @@ class TestCombinatoricsPipeline:
         assert capsys.readouterr().err == (
             f"experiment aborted: periodic orbit of period {period}: no "
             f"disjoint arc family at count={count}\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rigid_rational_rotation_reads_its_period(self, data):
+        q = data.draw(st.integers(1, 50))
+        p = data.draw(st.integers(0, q - 1).filter(lambda p: math.gcd(p, q) == 1))
+        count = data.draw(st.integers(q, 200))
+        text = COUNT.format(count) + f"[map]\nkind = rigid\nalpha = {p / q!r}\n"
+        with pytest.raises(PeriodicOrbitError) as err:
+            run_experiment(text)
+        assert str(err.value) == (f"periodic orbit of period {q}: no disjoint "
+                                  f"arc family at count={count}")
 
     def test_overlap_past_the_truncation_exits_one(self, tmp_path, capsys):
         """The N = 10 map's wandering arc returns at step 99: a runtime
@@ -324,6 +338,40 @@ class TestFullCriterion:
         assert crit["consistent"] is True
         labels = [v["label"] for v in rep["verdicts"]]
         assert "criterion-consistency" in labels
+        assert set(rep["per_stage"]["crossratio"]) == {"crd_variation",
+                                                       "partition_depth"}
+
+    @staticmethod
+    def _criterion(map_keys):
+        rep = run_experiment("[experiment]\npipeline = full-criterion\n"
+                             f"[map]\n{map_keys}\n")
+        [verdict] = [v for v in rep.verdicts
+                     if v["label"] == "criterion-consistency"]
+        return rep.per_stage, verdict
+
+    @pytest.mark.parametrize("map_keys, period", [
+        ("kind = rigid\nalpha = 0.25", 4),
+        ("kind = rigid\nalpha = 0.618", 500),
+        ("kind = arnold\nalpha = 0.1234\namplitude = 0.9", 1),
+        ("kind = arnold\nalpha = 0.5\namplitude = 0.3", 2),
+    ])
+    def test_rational_maps_are_outside_the_criteria(self, map_keys, period):
+        stage, verdict = self._criterion(map_keys)
+        assert stage["conjugacy"]["kind"] == "rational-rotation"
+        assert stage["criterion"]["period"] == period
+        assert stage["criterion"]["consistent"] is None
+        assert (verdict["verdict"], verdict["qualifier"]) == (
+            "not-applicable", f"period={period}")
+
+    @pytest.mark.parametrize("map_keys", [
+        "kind = denjoy\nalpha = 0.41421356237309515\nN = 50",
+        "kind = arnold\nalpha = 0.41\namplitude = 0.6",
+    ])
+    def test_irrational_maps_stay_consistent(self, map_keys):
+        stage, verdict = self._criterion(map_keys)
+        assert stage["conjugacy"]["kind"] != "rational-rotation"
+        assert stage["criterion"]["consistent"] is True
+        assert verdict["verdict"] == "consistent"
 
 
 class TestSweep:

@@ -1,12 +1,13 @@
 """Orbit-arc predecessors, successors, neighborhoods and Koebe constants."""
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _combinatorics_oracle import arc_meets_span, brute_table
-from denjoylab import (Arc, DenjoyLabError, KoebeConstants,
+from denjoylab import (Arc, DenjoyLabError, FloatRangeError, KoebeConstants,
                        OverlappingArcsError, eps_scale,
                        intersection_multiplicity, interval_orbit, make_map,
                        macroscopic_delta, natural_neighborhood,
@@ -257,8 +258,32 @@ class TestMacroscopicDelta:
         past = [k for k in ks if 1024 < k.i_star <= 1074]
         assert past and all(k.delta == math.ldexp(1.0, -k.i_star) for k in past)
 
+    @pytest.mark.parametrize("B", [60.0, 300.0, 707.6])
+    def test_i_star_past_2_53_is_the_first_float_crossing(self, B):
+        # past 2^53 one more i does not move the float product i * step
+        start = time.perf_counter()
+        k = macroscopic_delta(B, 1.0)
+        assert time.perf_counter() - start < 0.5
+        step = math.log1p(1.0 / k.C)
+        assert 2 ** 80 < k.i_star < 2 ** 1022 and k.delta == 0.0
+        assert math.expm1(k.i_star * step) > 1.0
+        assert not math.expm1((k.i_star - 1) * step) > 1.0
+
+    @pytest.mark.parametrize("B, eps", [
+        (707.7, 1.0), (709.0, 1.0), (710.0, 1.0), (1e6, 1.0), (math.inf, 1.0),
+        (0.0, 1e-308)])
+    def test_past_the_floats_raises_a_named_error(self, B, eps):
+        # C = 3 e^B, i_star or 1/eps passes 2^1022
+        start = time.perf_counter()
+        with pytest.raises(FloatRangeError, match="passes 2\\^1022"):
+            macroscopic_delta(B, eps)
+        assert time.perf_counter() - start < 0.5
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             macroscopic_delta(-0.1, 1.0)
         with pytest.raises(ValueError):
             macroscopic_delta(0.0, 0.0)
+        for nan_args in ((math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                macroscopic_delta(*nan_args)

@@ -1,8 +1,10 @@
 """Orbit profiles, semi-conjugacies and wandering-interval detection."""
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import counting_lift
 from denjoylab import (Arc, CollapsedArcError, PeriodicOrbitError, arc_image,
@@ -156,6 +158,58 @@ class TestConjugacyVerdict:
             conjugacy_verdict(golden_rotation, 99)
 
 
+def _arnold(alpha, amplitude):
+    return make_map({"kind": "arnold", "alpha": alpha, "amplitude": amplitude})
+
+
+class TestPeriodTest:
+    """x_w against its own returns, w = min(budget, PERIOD_WINDOW)."""
+
+    @pytest.mark.parametrize("budget", [1000, 10_000])
+    @pytest.mark.parametrize("alpha, amplitude, period", [
+        (0.5, 0.3, 2), (0.5034, 0.393, 2), (0.0539, 0.345, 1), (0.079, 0.5, 1)])
+    def test_mode_locked_arnold_maps_close(self, alpha, amplitude, period,
+                                           budget):
+        # x_200 is still more than PERIOD_TOL off each attracting cycle
+        v = conjugacy_verdict(_arnold(alpha, amplitude), budget)
+        assert (v.kind, v.period) == ("rational-rotation", period)
+
+    @pytest.mark.parametrize("amplitude", [0.3, 0.5, 0.9])
+    def test_inside_the_zero_tongue_reads_period_one(self, amplitude):
+        # F - id ranges over [alpha - a/2pi, alpha + a/2pi]: a fixed point
+        # for r = alpha 2pi / a <= 1
+        start = time.perf_counter()
+        for r in np.arange(50, 100) / 100:
+            f = _arnold(r * amplitude / (2.0 * math.pi), amplitude)
+            for budget in (1000, 10_000):
+                v = conjugacy_verdict(f, budget)
+                assert (v.kind, v.period) == ("rational-rotation", 1), (r, budget)
+        assert time.perf_counter() - start < 10.0
+
+    def test_rigid_period_survives_a_long_budget(self):
+        # x_w stays below lift magnitude PERIOD_WINDOW; near x_n (6e4) the
+        # 500 steps of 0.618 round by more than PERIOD_TOL
+        v = conjugacy_verdict(make_map({"kind": "rigid", "alpha": 0.618}), 100_000)
+        assert (v.kind, v.period) == ("rational-rotation", 500)
+
+    @settings(max_examples=80, deadline=None)
+    @given(alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           amplitude=st.floats(0.0, 0.9))
+    def test_a_period_is_a_periodic_orbit(self, alpha, amplitude):
+        f = _arnold(alpha, amplitude)
+        v = conjugacy_verdict(f, 1000)
+        if v.kind != "rational-rotation":
+            return
+        grid = np.linspace(0.0, 1.0, 1025)
+        image = grid
+        for _ in range(v.period):
+            image = f.lift_eval(image)
+        disp = image - grid
+        # F^q - id - p reaches within PERIOD_TOL of 0 from both sides
+        p = math.ceil(disp.min() - dynamics.PERIOD_TOL)
+        assert p <= disp.max() + dynamics.PERIOD_TOL
+
+
 @pytest.fixture
 def orbit_calls(monkeypatch):
     """Lengths n of every orbit_lift(diffeo, x0, n) that dynamics makes."""
@@ -173,8 +227,8 @@ def orbit_calls(monkeypatch):
 class TestOneOrbitPerCall:
     def test_semiconjugacy_iterates_once(self, denjoy50, orbit_calls):
         build_semiconjugacy(denjoy50.base, denjoy50.cantor_anchor, 1000)
-        # burn-in 200 plus the period budget 1000
-        assert orbit_calls == [1200]
+        # the period test reads the n-step orbit itself
+        assert orbit_calls == [1000]
 
     def test_gap_profile_iterates_once(self, golden_rotation, orbit_calls):
         omega_gap_profile(golden_rotation, 0.1, n=5000)

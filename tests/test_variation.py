@@ -14,7 +14,8 @@ from denjoylab import (IntervalFunction, NotDifferentiableError,
                        example_function, make_map, quadratic_variation)
 from denjoylab.util import dyadic_grid
 from denjoylab.variation import (_extrema, _quadratic_dp, _zygmund_dp,
-                                 log_derivative_function, probe_depths,
+                                 holder_bound, log_derivative_function,
+                                 probe_depths,
                                  total_variation_estimate,
                                  zygmund_norm_estimate, zygmund_norm_profile,
                                  zygmund_variation_estimate)
@@ -270,6 +271,36 @@ class TestZygmundNorm:
         f = example_function("ex1", 8)
         assert zygmund_norm_estimate(f, 6) == pytest.approx(
             float(np.max(zygmund_norm_profile(f, 6))))
+
+
+class TestHolderBound:
+    # zero or at least 1e-100: the bound then stays a normal float, where
+    # a relative tolerance holds
+    @settings(max_examples=200, deadline=None)
+    @given(B=st.just(0.0) | st.floats(1e-100, 1e6),
+           t=st.just(0.0) | st.floats(1e-100, 1.0),
+           d=st.just(0.0) | st.floats(1e-100, 1e3) | st.floats(-1e3, -1e-100),
+           alpha=st.floats(0.001, 0.999))
+    def test_matches_the_plain_float_loop(self, B, t, d, alpha):
+        ref = max((abs(d) + n * B) * (t * 2.0 ** -n) ** (1.0 - alpha)
+                  for n in range(600))
+        # numpy's array pow and the scalar pow may differ by an ulp or two
+        assert holder_bound(B, t, d, alpha) == pytest.approx(
+            ref, rel=4 * np.finfo(float).eps, abs=0.0)
+
+    def test_the_report_field_is_the_bound(self):
+        rep = classify_regularity(SINE, 8)
+        base = abs(float(SINE.eval(1.0)) - float(SINE.eval(0.0)))
+        assert rep.holder == (0.5, holder_bound(rep.zyg_norm, 1.0, base, 0.5))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_alpha_outside_the_open_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            holder_bound(1.0, 0.5, 0.1, alpha)
+
+    def test_negative_budget(self):
+        with pytest.raises(ValueError, match="B must be non-negative"):
+            holder_bound(-1e-300, 0.5, 0.1, 0.5)
 
 
 class TestClassifyRegularity:
