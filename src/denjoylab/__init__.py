@@ -20,9 +20,8 @@ from .combinatorics import (KoebeConstants, OrbitCombinatorics,
                             predecessor_successor_table, pullback_arcs)
 from .crossratio import (DistortionBreakdown, FourTuple,
                          crd_variation_estimate, cross_ratios,
-                         decompose_ab, delta_and_bound,
-                         iterate_distortion_bound, koebe_log_ratio,
-                         log_cr_first_quadrature, term_b_constant)
+                         decompose_ab, iterate_distortion_bound,
+                         koebe_log_ratio, term_b_constant)
 from .dynamics import (ConjugacyVerdict, OrbitProfile, SemiConjugacy,
                        WanderingVerdict, build_semiconjugacy,
                        conjugacy_verdict, interval_orbit, omega_gap_profile,
@@ -32,7 +31,7 @@ from .errors import (CollapsedArcError, DegenerateTupleError, DenjoyLabError,
                      NotDifferentiableError, OverlappingArcsError,
                      PeriodicOrbitError, RootFindError, UnresolvedExtremaError)
 from .maps import (Arc, CircleDiffeo, LiftValidationReport, arc_image,
-                   compose, inverse_eval, orbit_lift, validate_lift)
+                   inverse_eval, orbit_lift, validate_lift)
 from .rotation import RotationEstimate, birkhoff_estimate
 from .variation import (VariationReport, classify_regularity, holder_bound,
                         log_derivative_function, quadratic_variation,
@@ -73,12 +72,10 @@ __all__ = [
     "birkhoff_estimate",
     "build_semiconjugacy",
     "classify_regularity",
-    "compose",
     "conjugacy_verdict",
     "crd_variation_estimate",
     "cross_ratios",
     "decompose_ab",
-    "delta_and_bound",
     "eps_scale",
     "example_function",
     "holder_bound",
@@ -87,7 +84,6 @@ __all__ = [
     "inverse_eval",
     "iterate_distortion_bound",
     "koebe_log_ratio",
-    "log_cr_first_quadrature",
     "log_derivative_function",
     "macroscopic_delta",
     "make_denjoy",

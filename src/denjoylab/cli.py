@@ -10,8 +10,9 @@ Config layout::
     [experiment]
     pipeline = rotation | variation | crossratio | conjugacy |
                combinatorics | full-criterion
-    n = 1000              ; orbit budget where applicable
-    budget = 1000         ; conjugacy iterate budget, falls back to n
+    n = 1000              ; orbit budget where applicable, <= MAX_ORBIT
+    budget = 1000         ; conjugacy iterate budget, falls back to n,
+                          ; <= MAX_ORBIT
     depth = 8             ; estimator depth where applicable, <= MAX_DEPTH
     x0 = 0.3              ; optional start point mod 1 in place of the anchor
     function = ex2        ; variation only: ex1 | ex2 | ex3 in place of log Df
@@ -26,7 +27,7 @@ Config layout::
     kind = rigid | arnold | denjoy
     alpha = 0.618
     amplitude = 0.0       ; arnold only
-    N = 50                ; denjoy truncation
+    N = 50                ; denjoy truncation, <= MAX_N
     mass = 0.5            ; denjoy inserted mass
 
     [sweep]               ; optional: fan out over one key
@@ -79,10 +80,16 @@ MAX_DEPTH = 19
 #: largest [experiment] function_depth: a layer of an example function
 #: deeper than the finest grid at MAX_DEPTH is zero on every grid point
 MAX_FUNCTION_DEPTH = MAX_DEPTH + 6
+#: largest [experiment] n and budget: an orbit is an n-element list, and
+#: a run at 10^6 peaks near 140 MiB
+MAX_ORBIT = 10 ** 6
+#: largest [map] N: make_denjoy builds arrays of 2N + 1 floats and their
+#: list copies, and a run at 10^5 peaks near 185 MiB
+MAX_N = 10 ** 5
 #: [experiment] key -> the largest value a config may set; a combinatorics
 #: count up to PERIOD_WINDOW lets the period test compare every lag
 DEPTH_LIMITS = {"depth": MAX_DEPTH, "function_depth": MAX_FUNCTION_DEPTH,
-                "count": PERIOD_WINDOW}
+                "count": PERIOD_WINDOW, "n": MAX_ORBIT, "budget": MAX_ORBIT}
 
 
 class ConfigError(DenjoyLabError):
@@ -153,8 +160,10 @@ def _build_target(cfg: configparser.ConfigParser):
         raise ConfigError("config error: [map] needs a kind key")
     try:
         if kind == "denjoy":
-            target = make_denjoy(cfg.getfloat("map", "alpha"),
-                                 N=cfg.getint("map", "N", fallback=50),
+            N = cfg.getint("map", "N", fallback=50)
+            if N > MAX_N:
+                raise ValueError(f"N must be <= {MAX_N}, got {N}")
+            target = make_denjoy(cfg.getfloat("map", "alpha"), N=N,
                                  mass=cfg.getfloat("map", "mass",
                                                    fallback=0.5))
             return target, target.base
@@ -339,23 +348,22 @@ def run_experiment(text: str) -> ExperimentReport:
 
     The library rejects a bad parameter with ValueError, so one raised
     while reading [experiment] values or running the pipeline on them
-    becomes a ConfigError, as does a depth over its ``DEPTH_LIMITS`` entry.
-    A ``DenjoyLabError`` is a runtime outcome and passes unchanged.
+    becomes a ConfigError, as does a value over its ``DEPTH_LIMITS`` entry,
+    checked before the map is built.  A ``DenjoyLabError`` is a runtime
+    outcome and passes unchanged.
     """
     cfg = _parse_config(text)
     pipeline = cfg.get("experiment", "pipeline")
     echo = {s: dict(cfg.items(s)) for s in cfg.sections()}
     report = ExperimentReport(config_echo=echo)
-    if cfg.has_section("map"):
-        target, diffeo = _build_target(cfg)
-    else:
-        target, diffeo = None, None
-    x0 = None
+    target, diffeo, x0 = None, None, None
     try:
         for key, limit in DEPTH_LIMITS.items():
             value = cfg.getint("experiment", key, fallback=0)
             if value > limit:
                 raise ValueError(f"{key} must be <= {limit}, got {value}")
+        if cfg.has_section("map"):
+            target, diffeo = _build_target(cfg)
         if cfg.has_option("experiment", "x0"):
             x0 = cfg.getfloat("experiment", "x0")
             if not np.isfinite(x0):

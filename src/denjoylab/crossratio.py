@@ -76,17 +76,6 @@ def cross_ratios(t: FourTuple) -> tuple[float, float]:
     return first, _second_ratio(a, b, c, d)
 
 
-def log_cr_first_quadrature(t: FourTuple) -> float:
-    """log of the first cross ratio as the double integral of (x-y)^-2
-    over [a,b] x [c,d]; a slow cross-check for the closed form.
-
-    The inner integral over y in [c, d] is 1/(c-x) - 1/(d-x) in closed
-    form; the outer one over x in [a, b] is adaptive Simpson."""
-    a, b, c, d = t._floats()
-    return adaptive_simpson(lambda x: 1.0 / (c - x) - 1.0 / (d - x), a, b,
-                            tol=QUAD_TOL)
-
-
 def koebe_log_ratio(h, x: float, y: float) -> float:
     """log h'(x) + log h'(y) - 2 log[h']_xy of a C1 circle map h on x < y.
 
@@ -164,20 +153,6 @@ def _delta(eps: float) -> float:
     if abs(eps) < SERIES_CUTOFF:
         return 1.0 + eps * (-2.0 / 3.0 + eps * (0.5 - 0.4 * eps))
     return 2.0 * (eps - math.log1p(eps)) / (eps * eps)
-
-
-def delta_and_bound(eps: float, delta_floor: float) -> tuple[float, float]:
-    """Remainder factor of log(1+eps) at eps, and its bound over
-    [delta_floor, inf).
-
-    The factor is positive and strictly decreasing, so the bound is just
-    the factor evaluated at the floor; delta_val <= bound whenever the
-    floor precondition delta_floor <= eps holds.
-    """
-    if not -1.0 < delta_floor <= eps:
-        raise ValueError(
-            f"delta_floor must lie in (-1, eps], got {delta_floor} with eps {eps}")
-    return _delta(eps), _delta(delta_floor)
 
 
 def term_b_constant(h, x: float, y: float) -> float:

@@ -270,19 +270,3 @@ def validate_lift(diffeo: CircleDiffeo,
         derivative_min=derivative_min,
         increment_defect=increment_defect,
     )
-
-
-def compose(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
-    """Lift composition outer o inner."""
-    def lift(x):
-        return outer.lift_eval(inner.lift_eval(x))
-
-    deriv = None
-    if outer.lift_derivative is not None and inner.lift_derivative is not None:
-        def deriv(x):  # noqa: F811
-            y = inner.lift_eval(x)
-            return outer.lift_derivative(y) * inner.lift_derivative(x)
-
-    return CircleDiffeo(lift_eval=lift, lift_derivative=deriv,
-                        label=f"({outer.label} o {inner.label})")
-

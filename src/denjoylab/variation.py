@@ -38,8 +38,16 @@ def total_variation_estimate(f: IntervalFunction, depth: int) -> float:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    lo, hi = f.domain
-    vals = np.asarray(f.eval(dyadic_grid(lo, hi, depth)), dtype=float)
+    return _total_variation(_sample(f, depth))
+
+
+def _sample(f: IntervalFunction, level: int) -> np.ndarray:
+    """f on the 2**level + 1 dyadic points of its domain, as floats."""
+    return np.asarray(f.eval(dyadic_grid(*f.domain, level)), dtype=float)
+
+
+def _total_variation(vals: np.ndarray) -> float:
+    """Sum of |increments| of the samples ``vals``."""
     return float(np.sum(np.abs(np.diff(vals))))
 
 
@@ -115,9 +123,7 @@ def zygmund_variation_estimate(f: IntervalFunction, depth: int) -> float:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    lo, hi = f.domain
-    return _zygmund_dp(np.asarray(f.eval(dyadic_grid(lo, hi, depth + 1)),
-                                  dtype=float))
+    return _zygmund_dp(_sample(f, depth + 1))
 
 
 def _extrema(diffs: np.ndarray) -> np.ndarray:
@@ -151,13 +157,12 @@ def quadratic_variation(f: IntervalFunction, resolution: int) -> float:
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
-    lo, hi = f.domain
-    grid = dyadic_grid(lo, hi, resolution)
-    vals = np.asarray(f.eval(grid), dtype=float)
+    vals = _sample(f, resolution)
     idx = _extrema(np.diff(vals))
     close = np.flatnonzero(np.diff(idx[1:-1]) == 1)
     if close.size:
         start = idx[1 + close[0]]
+        grid = dyadic_grid(*f.domain, resolution)
         raise UnresolvedExtremaError((float(grid[start]), float(grid[start + 1])))
     return _quadratic_dp(vals[idx])
 
@@ -170,15 +175,17 @@ def zygmund_norm_profile(f: IntervalFunction, scales: int) -> np.ndarray:
     if scales < 1:
         raise ValueError(f"scales must be >= 1, got {scales}")
     lo, hi = f.domain
-    span = hi - lo
+    return _zygmund_profile(_sample(f, scales + 1), scales, hi - lo)
+
+
+def _zygmund_profile(vals: np.ndarray, scales: int, span: float) -> np.ndarray:
+    """The profile from the level scales + 1 sample: at scale k, x and x +- t
+    are every 2**(scales - k)-th value, in f(x+t) + f(x-t) - 2 f(x) order."""
     out = np.empty(scales)
     for k in range(1, scales + 1):
-        t = span * 2.0 ** (-k)
-        xs = lo + 0.5 * t * np.arange(2, 2 ** (k + 1) - 1)
-        second = (np.asarray(f.eval(xs + t), dtype=float)
-                  + np.asarray(f.eval(xs - t), dtype=float)
-                  - 2.0 * np.asarray(f.eval(xs), dtype=float))
-        out[k - 1] = float(np.max(np.abs(second))) / t
+        v = vals[::2 ** (scales - k)]
+        second = v[4:] + v[:-4] - 2.0 * v[2:-2]
+        out[k - 1] = float(np.max(np.abs(second))) / (span * 2.0 ** (-k))
     return out
 
 
@@ -274,16 +281,21 @@ def classify_regularity(f: IntervalFunction, depth: int) -> VariationReport:
     Partition-based functionals are probed at geometrically spaced depths
     so that three consecutive doublings are available for the divergence
     rule; the quadratic variation is computed once at the deepest
-    resolution (retrying deeper if extrema are unresolved).
+    resolution (retrying deeper if extrema are unresolved).  The rest
+    reads one level depth + 1 sample: its every 2**(depth + 1 - l)-th
+    value is the level-l sample on a domain of exact dyadic floats.
     """
     if depth < 4:
         raise ValueError(f"depth must be >= 4, got {depth}")
     probes = probe_depths(depth)
+    lo, hi = f.domain
+    vals = _sample(f, depth + 1)
+    level = {lv: vals[::2 ** (depth + 1 - lv)] for lv in range(depth + 2)}
 
-    profile = zygmund_norm_profile(f, depth)
+    profile = _zygmund_profile(vals, depth, hi - lo)
     trends = {
-        "tv": [total_variation_estimate(f, d) for d in probes],
-        "zv": [zygmund_variation_estimate(f, min(d, MAX_ZV_DEPTH)) for d in probes],
+        "tv": [_total_variation(level[d]) for d in probes],
+        "zv": [_zygmund_dp(level[min(d, MAX_ZV_DEPTH) + 1]) for d in probes],
         # scale k of the profile does not depend on how many scales are taken
         "zyg_norm": [float(np.max(profile[:d])) for d in probes],
     }
@@ -295,9 +307,7 @@ def classify_regularity(f: IntervalFunction, depth: int) -> VariationReport:
         diverging[name], converged[name], rates[name] = d_flag, c_flag, rate
 
     tv, zv, zyg_norm = (trends[n][-1] for n in ("tv", "zv", "zyg_norm"))
-    lo, hi = f.domain
-    max_abs = float(np.max(np.abs(np.asarray(
-        f.eval(dyadic_grid(lo, hi, min(depth, 14))), dtype=float))))
+    max_abs = float(np.max(np.abs(level[min(depth, 14)])))
 
     checks = {}
     if not diverging["tv"]:
@@ -308,7 +318,7 @@ def classify_regularity(f: IntervalFunction, depth: int) -> VariationReport:
 
     holder = None
     if not diverging["zyg_norm"]:
-        base = abs(float(np.asarray(f.eval(hi))) - float(np.asarray(f.eval(lo))))
+        base = abs(float(vals[-1]) - float(vals[0]))
         holder = (0.5, holder_bound(zyg_norm, hi - lo, base, 0.5))
 
     return VariationReport(tv=tv, zv=zv, qv=qv, zyg_norm=zyg_norm, depth=depth,

@@ -6,7 +6,9 @@ shared code path into the package, so agreement is meaningful evidence.
 at-a-time extrema scan, kept as the reference for the array version;
 ``qv_dp_reference`` and ``zv_dp_reference`` are the two partition DPs as
 plain per-row array loops, the bit-for-bit references for the package's
-blocked max-plus kernel.
+blocked max-plus kernel.  ``zygmund_profile_reference`` is the Zygmund
+profile's former loop, three evaluations of f per scale at hand-built
+points x and x +- t, the reference for the profile read from one sample.
 """
 from itertools import combinations
 
@@ -108,3 +110,19 @@ def zv_dp_reference(fine):
         w = np.abs(coarse[:j] + coarse[j] - 2.0 * fine[j:2 * j])
         dp[j] = float(np.max(dp[:j] + w))
     return float(dp[-1])
+
+
+def zygmund_profile_reference(f, scales):
+    """Per-scale maxima of |f(x+t) + f(x-t) - 2 f(x)| / t at t = span 2^-k,
+    with x on a grid of step t/2 and f evaluated at x + t, x - t and x."""
+    lo, hi = f.domain
+    span = hi - lo
+    out = np.empty(scales)
+    for k in range(1, scales + 1):
+        t = span * 2.0 ** (-k)
+        xs = lo + 0.5 * t * np.arange(2, 2 ** (k + 1) - 1)
+        second = (np.asarray(f.eval(xs + t), dtype=float)
+                  + np.asarray(f.eval(xs - t), dtype=float)
+                  - 2.0 * np.asarray(f.eval(xs), dtype=float))
+        out[k - 1] = float(np.max(np.abs(second))) / t
+    return out

@@ -12,14 +12,15 @@ import time
 import numpy as np
 import pytest
 
+from _oracles import compose, delta_and_bound, log_cr_first_quadrature
 from _partition_oracles import qv_oracle, tv_oracle, zv_oracle
 from denjoylab import (Arc, FourTuple, IntervalFunction,
                        UnresolvedExtremaError, arc_image, birkhoff_estimate,
-                       build_semiconjugacy, classify_regularity, compose,
-                       conjugacy_verdict, cross_ratios, delta_and_bound,
+                       build_semiconjugacy, classify_regularity,
+                       conjugacy_verdict, cross_ratios,
                        eps_scale, example_function, intersection_multiplicity,
                        interval_orbit, iterate_distortion_bound,
-                       koebe_log_ratio, log_cr_first_quadrature,
+                       koebe_log_ratio,
                        log_derivative_function, macroscopic_delta, make_map,
                        natural_neighborhood, orbit_lift,
                        predecessor_successor_table, pullback_arcs,

@@ -489,6 +489,33 @@ class TestConfigErrors:
             f"config error in [experiment]: {key} must be <= {limit}, "
             f"got {limit + 21}\n")
 
+    @pytest.mark.parametrize("section, key, limit", [
+        ("map", "N", cli.MAX_N), ("experiment", "n", cli.MAX_ORBIT),
+        ("experiment", "budget", cli.MAX_ORBIT)])
+    def test_limit_comes_before_the_map_is_built(self, tmp_path, capsys,
+                                                  monkeypatch, section, key,
+                                                  limit):
+        # a stub build: no test allocates the map that the limit guards
+        built = []
+
+        def build(alpha, N, mass):
+            built.append(N)
+            raise ValueError("stub build")
+
+        monkeypatch.setattr(cli, "make_denjoy", build)
+        sections = {"experiment": "pipeline = conjugacy",
+                    "map": "kind = denjoy\nalpha = 0.41421356237309515"}
+        sections[section] += f"\n{key} = {{}}"
+        text = "".join(f"[{s}]\n{body}\n" for s, body in sections.items())
+        assert _run(tmp_path, text.format(limit), "at.ini")[0] == 2
+        assert capsys.readouterr().err == "config error in [map]: stub build\n"
+        rc, _ = _run(tmp_path, text.format(limit + 1), "over.ini")
+        assert rc == 2
+        assert built == [limit if key == "N" else 50]
+        assert capsys.readouterr().err == (
+            f"config error in [{section}]: {key} must be <= {limit}, "
+            f"got {limit + 1}\n")
+
     @pytest.mark.parametrize("pipeline",
                              [p for p in cli.PIPELINES if p != "variation"])
     def test_function_outside_variation_exits_two(self, tmp_path, capsys, pipeline):

@@ -9,13 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from denjoylab import (Arc, CircleDiffeo, DegenerateTupleError, FourTuple,
                        NonMonotoneMapError, OverlappingArcsError, arc_image,
-                       compose, crd_variation_estimate, cross_ratios, decompose_ab,
-                       delta_and_bound, interval_orbit,
-                       iterate_distortion_bound, koebe_log_ratio,
-                       log_cr_first_quadrature, make_map, term_b_constant)
+                       crd_variation_estimate, cross_ratios, decompose_ab,
+                       interval_orbit, iterate_distortion_bound,
+                       koebe_log_ratio, make_map, term_b_constant)
 from denjoylab.crossratio import CRD_BATCH_POINTS
 
 from _crd_reference import crd_variation_reference
+from _oracles import compose, delta_and_bound, log_cr_first_quadrature
 from conftest import accepted_denjoy, count_lift_in_place
 
 TWO_MINUS_TWO_LOG2 = 2.0 * (1.0 - math.log(2.0))

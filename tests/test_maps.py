@@ -8,9 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from _orbit_reference import orbit_lift_reference
 from _overlap_reference import first_overlap_pairwise
+from _oracles import compose
 from _smooth_reference import periodic_lift
-from denjoylab import (Arc, arc_image, compose, inverse_eval, make_map,
-                       orbit_lift, validate_lift)
+from denjoylab import (Arc, arc_image, inverse_eval, make_map, orbit_lift,
+                       validate_lift)
 from denjoylab.maps import first_overlap
 from denjoylab.util import circle_dist, frac
 

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from _partition_oracles import (monotone_runs, qv_dp_reference, qv_oracle,
                                 qv_scan_reference, tv_oracle, zv_dp_reference,
-                                zv_oracle)
+                                zv_oracle, zygmund_profile_reference)
 from denjoylab import (IntervalFunction, NotDifferentiableError,
                        UnresolvedExtremaError, classify_regularity,
                        example_function, make_map, quadratic_variation)
 from denjoylab.util import dyadic_grid
-from denjoylab.variation import (_extrema, _quadratic_dp, _zygmund_dp,
-                                 holder_bound, log_derivative_function,
-                                 probe_depths,
+from denjoylab.variation import (MAX_ZV_DEPTH, _extrema, _quadratic_dp,
+                                 _zygmund_dp, holder_bound,
+                                 log_derivative_function, probe_depths,
                                  total_variation_estimate,
                                  zygmund_norm_estimate, zygmund_norm_profile,
                                  zygmund_variation_estimate)
@@ -272,6 +272,21 @@ class TestZygmundNorm:
         assert zygmund_norm_estimate(f, 6) == pytest.approx(
             float(np.max(zygmund_norm_profile(f, 6))))
 
+    @settings(deadline=None, max_examples=60)
+    @given(domain=st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]),
+           scales=st.integers(1, 10), data=st.data())
+    def test_one_sample_matches_the_three_evaluation_loop(self, domain,
+                                                          scales, data):
+        lo, hi = domain
+        xs = data.draw(st.lists(st.floats(lo, hi), max_size=10), label="knots")
+        knots = np.unique([lo, hi, *xs])
+        ys = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=knots.size,
+                                max_size=knots.size), label="values")
+        f = _fn(lambda x: np.interp(np.asarray(x), knots, ys), "pw-linear",
+                lo, hi)
+        assert repr(zygmund_norm_profile(f, scales).tolist()) == repr(
+            zygmund_profile_reference(f, scales).tolist())
+
 
 class TestHolderBound:
     # zero or at least 1e-100: the bound then stays a normal float, where
@@ -327,10 +342,31 @@ class TestClassifyRegularity:
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "denjoy"])
     def test_zyg_norm_trend_reads_one_profile(self, name, denjoy50):
+        # every trend is read from one sample, and equals the public
+        # estimator that samples f on its own
         f = (log_derivative_function(denjoy50.base) if name == "denjoy"
              else example_function(name, 12))
-        assert classify_regularity(f, 12).trends["zyg_norm"] == tuple(
-            zygmund_norm_estimate(f, d) for d in probe_depths(12))
+        probes = probe_depths(12)
+        assert classify_regularity(f, 12).trends == {
+            "tv": tuple(total_variation_estimate(f, d) for d in probes),
+            "zv": tuple(zygmund_variation_estimate(f, min(d, MAX_ZV_DEPTH))
+                        for d in probes),
+            "zyg_norm": tuple(zygmund_norm_estimate(f, d) for d in probes),
+        }
+
+    def test_one_sample_per_run(self):
+        f = log_derivative_function(make_map(
+            {"kind": "arnold", "alpha": 0.41, "amplitude": 0.6}))
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return f.eval(x)
+
+        classify_regularity(_fn(counted, "counted"), 8)
+        # the level-9 sample, then the quadratic variation's own level-8
+        # one, which resolves its extrema on the first try
+        assert sizes == [513, 257]
 
     def test_checks_hold_for_smooth_input(self):
         rep = classify_regularity(SQUARE, 6)
