@@ -452,6 +452,11 @@ def _cmd_run(args) -> int:
     except DenjoyLabError as err:
         print(f"experiment failed: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:
+        detail = " ".join(str(err).split())
+        print(f"experiment failed: out of memory{': ' + detail if detail else ''}",
+              file=sys.stderr)
+        return 1
     try:
         written = [_write_outputs(rep, Path(args.out), tag)
                    for tag, rep in reports]

@@ -72,9 +72,13 @@ class SemiConjugacy:
     """Monotone degree-1 knot interpolant sending orbit to rotation orbit.
 
     ``knots`` pairs each circle position f^k(x0) with its target on the
-    rigid orbit of alpha; ``plateaus`` lists (arc, flatness) for maximal
-    knot gaps that are wide in the domain yet almost collapsed in the
-    target, with flatness the target/domain gap ratio.
+    rigid orbit of alpha.  ``plateaus`` lists (arc, flatness) for each
+    maximal circular run of knot gaps that are wide in the domain yet
+    almost collapsed in the target, in order of the run's first gap; the
+    run that wraps past the first knot comes last.  The arc runs from the
+    run's first knot to the knot after its last gap.  Flatness is the
+    target span over the domain span, each the gap itself for a one-gap
+    run and otherwise np.sum over the run's gaps in circular order.
     """
 
     anchor: float
@@ -180,12 +184,6 @@ def wandering_verdict(diffeo: CircleDiffeo, arc: Arc,
     return WanderingVerdict("overlap-at", pair=first_clash, min_length=min_length)
 
 
-def _max_circular_gap(points: np.ndarray) -> float:
-    s = np.sort(points)
-    gaps = np.diff(s)
-    return float(max(np.max(gaps), 1.0 - s[-1] + s[0]))
-
-
 def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int) -> OrbitProfile:
     """Gap structure of the forward orbit of x0.
 
@@ -196,15 +194,20 @@ def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int) -> OrbitProfile:
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
-    return _gap_profile(*_orbit_and_period(diffeo, x0, n), n)
-
-
-def _gap_profile(orbit: np.ndarray, period: int | None, n: int) -> OrbitProfile:
-    """omega_gap_profile read from _orbit_and_period of x0 and n."""
+    orbit, period = _orbit_and_period(diffeo, x0, n)
     pts = frac(orbit[:n + 1])
+    return _gap_profile(pts, np.sort(pts), period, n)
 
+
+def _gap_profile(pts: np.ndarray, pts_sorted: np.ndarray, period: int | None,
+                 n: int) -> OrbitProfile:
+    """omega_gap_profile read from the circle positions
+    pts = frac(orbit[:n + 1]) of x0's orbit and ``pts_sorted``, all of
+    them sorted, which the verdict builds from its semi-conjugacy's sort."""
     checkpoints = sorted({max(10, n // 4), max(10, n // 2), n})
-    trend = tuple((k, _max_circular_gap(pts[:k + 1])) for k in checkpoints)
+    prefixes = [np.sort(pts[:k + 1]) for k in checkpoints[:-1]] + [pts_sorted]
+    trend = tuple((k, float(max(np.max(np.diff(s)), 1.0 - s[-1] + s[0])))
+                  for k, s in zip(checkpoints, prefixes))
     max_gap = trend[-1][1]
 
     if period is not None:
@@ -229,6 +232,7 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
     rank, anchored so x0 pairs with 0; that makes the interpolant
     monotone by construction and the knot equivariance defect zero
     whenever the orbit is circularly order-isomorphic to the rigid one.
+    Equal positions pair in the order of the orbit.
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
@@ -237,54 +241,87 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
         raise PeriodicOrbitError(
             q, "rational case; monotone circle-map classification applies, "
                "no semi-conjugacy built")
-    return _semiconjugacy(lift_orbit, x0, n)
+    return _semiconjugacy(lift_orbit, frac(lift_orbit[:n + 1]), x0, n)
 
 
-def _semiconjugacy(orbit: np.ndarray, x0: float, n: int) -> SemiConjugacy:
-    """build_semiconjugacy read from the aperiodic _orbit_and_period of x0."""
-    pts = frac(orbit[:n])
+def _circular_runs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each maximal circular run of True in
+    ``flat``, which must hold a False, in order of the first index.  When
+    flat[0] and flat[-1] are both True, the last run to start wraps past
+    index 0 and ends at the first end."""
+    starts = np.flatnonzero(flat & ~np.roll(flat, 1))
+    ends = np.flatnonzero(flat & ~np.roll(flat, -1))
+    if flat[0] and flat[-1]:
+        ends = np.roll(ends, -1)
+    return starts, ends
+
+
+def _run_sums(gaps: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray) -> np.ndarray:
+    """The sum of the gaps over each circular run from ``starts[r]`` to
+    ``ends[r]``: a one-gap run is that gap, a longer one np.sum over its
+    members in circular order.  (np.add.reduceat adds in another order,
+    which on random gaps rounds differently from about four members up.)"""
+    n = gaps.size
+    sums = gaps[starts]
+    lengths = (ends - starts) % n + 1
+    for r in np.flatnonzero(lengths > 1).tolist():
+        sums[r] = np.sum(gaps[(starts[r] + np.arange(lengths[r])) % n])
+    return sums
+
+
+def _semiconjugacy(orbit: np.ndarray, pts: np.ndarray, x0: float,
+                   n: int) -> SemiConjugacy:
+    """build_semiconjugacy read from the aperiodic _orbit_and_period of x0
+    and its circle positions pts = frac(orbit[:n + 1]).
+
+    The orbit is sorted once, with the default kind; an orbit that
+    repeats a position exactly is sorted again with the stable kind, since
+    the default kind leaves the order of equal keys to a CPU-dependent
+    kernel.  A plateau is a maximal circular run of flat knot gaps
+    (``_circular_runs``), the run that wraps past index 0 included.  Its
+    domain and target spans are each the gap itself for a one-gap run,
+    else np.sum over the run's gaps in circular order (``_run_sums``).
+    """
+    order = np.argsort(pts[:n])
+    domain = pts[order]
+    dom_gaps = np.diff(np.concatenate([domain, [domain[0] + 1.0]]))
+    if not dom_gaps.all():
+        order = np.argsort(pts[:n], kind="stable")
     alpha = birkhoff_from_orbit(orbit, n).value
     targets_sorted = np.sort(frac(np.arange(n) * alpha))
 
-    order = np.argsort(pts)
     r0 = int(np.flatnonzero(order == 0)[0])
     assigned = np.roll(targets_sorted, r0)
 
-    domain = pts[order]
     # unwrap the cyclically increasing targets into a monotone array
-    wrap_at = int(np.argmin(assigned))
-    target_inc = assigned + np.where(np.arange(n) < wrap_at, -1.0, 0.0)
+    target_inc = assigned.copy()
+    target_inc[:int(np.argmin(assigned))] -= 1.0
 
     knot_targets = np.empty(n)
     knot_targets[order] = assigned
-    d = np.abs(frac(knot_targets[1:]) - frac(knot_targets[:-1] + alpha))
+    d = np.abs(knot_targets[1:] - frac(knot_targets[:-1] + alpha))
     defect = float(np.max(np.minimum(d, 1.0 - d)))
-    h_last = float(_interp_lift(domain, target_inc,
-                                np.asarray(frac(orbit[n]))))
+    h_last = float(_interp_lift(domain, target_inc, np.asarray(pts[n])))
     defect = max(defect, circle_dist(h_last, knot_targets[n - 1] + alpha))
 
-    dom_gaps = np.diff(np.concatenate([domain, [domain[0] + 1.0]]))
     tgt_gaps = np.diff(np.concatenate([target_inc, [target_inc[0] + 1.0]]))
     flat = (tgt_gaps < PLATEAU_TARGET_FACTOR / n) & (
         dom_gaps > PLATEAU_DOMAIN_FACTOR / n)
 
     # flat gaps are wider than 10/n and the n gaps sum to 1: not all are flat
-    plateaus = []
-    for i in np.flatnonzero(flat & ~np.roll(flat, 1)).tolist():
-        j = i
-        while flat[(j + 1) % n]:
-            j += 1
-        members = [(i + k) % n for k in range(j - i + 1)]
-        lo = domain[i]
-        hi = domain[(j + 1) % n]
-        span_d = float(np.sum(dom_gaps[members]))
-        span_t = float(np.sum(tgt_gaps[members]))
-        plateaus.append((Arc(lo, hi), span_t / span_d))
+    starts, ends = _circular_runs(flat)
+    flatness = _run_sums(tgt_gaps, starts, ends) / _run_sums(
+        dom_gaps, starts, ends)
+    plateaus = tuple(
+        (Arc(lo, hi), ratio) for lo, hi, ratio in zip(
+            domain[starts].tolist(), domain[(ends + 1) % n].tolist(),
+            flatness.tolist()))
 
     return SemiConjugacy(anchor=float(x0), alpha=float(alpha),
-                         defect=float(defect), plateaus=tuple(plateaus),
+                         defect=float(defect), plateaus=plateaus,
                          _domain=domain, _target=target_inc,
-                         _points=pts, _knot_targets=knot_targets)
+                         _points=pts[:n], _knot_targets=knot_targets)
 
 
 def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
@@ -303,12 +340,17 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
     anchor = _orbit_start(target_map)
 
     orbit, period = _orbit_and_period(diffeo, anchor, budget)
-    profile = _gap_profile(orbit, period, budget)
-    if profile.periodicity is not None:
+    pts = frac(orbit[:budget + 1])
+    if period is not None:
+        profile = _gap_profile(pts, np.sort(pts), period, budget)
         return ConjugacyVerdict("rational-rotation", period=period,
                                 detail="closed displacement detected",
                                 profile=profile)
-    semi = _semiconjugacy(orbit, anchor, budget)
+    semi = _semiconjugacy(orbit, pts, anchor, budget)
+    # the semi-conjugacy sorted x_0 .. x_(n-1); x_n goes in by bisection
+    at = np.searchsorted(semi._domain, pts[budget])
+    profile = _gap_profile(pts, np.concatenate(
+        (semi._domain[:at], pts[budget:], semi._domain[at:])), period, budget)
 
     for arc, flatness in sorted(semi.plateaus, key=lambda p: -p[0].length):
         quarter = 0.25 * arc.length

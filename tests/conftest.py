@@ -1,7 +1,7 @@
 """Shared fixtures: one truncated wandering-interval map and one rigid rotation;
 ``counting_lift`` and ``count_lift_in_place``, which count a map's lift
-evaluations; and the Hypothesis strategies ``accepted_denjoy`` and
-``anchored_denjoy``.
+evaluations; and the Hypothesis strategies ``accepted_denjoy``,
+``anchored_denjoy`` and ``smooth_map``.
 
 Hypothesis draws fresh examples on every local run.  With
 ``HYPOTHESIS_PROFILE=ci`` (set by the CI workflow) it derandomizes, so a
@@ -98,3 +98,11 @@ def anchored_denjoy_parameters():
 def anchored_denjoy():
     """An ``accepted_denjoy`` map whose anchor has been read."""
     return anchored_denjoy_parameters().map(lambda drawn: drawn[3])
+
+
+@st.composite
+def smooth_map(draw):
+    """A rigid or Arnold make_map over random alpha and amplitude in [0, 1)."""
+    return make_map({"kind": draw(st.sampled_from(("rigid", "arnold"))),
+                     "alpha": draw(st.floats(0.0, 1.0, exclude_max=True)),
+                     "amplitude": draw(st.floats(0.0, 1.0, exclude_max=True))})

@@ -15,7 +15,7 @@ from _denjoy_reference import find_dust_anchor, former_kernels, piece_table
 from _smooth_reference import make_map as reference_map
 from _orbit_reference import orbit_lift_reference
 from conftest import (accepted_denjoy, accepted_denjoy_parameters, anchored_denjoy,
-                      anchored_denjoy_parameters, counting_lift)
+                      anchored_denjoy_parameters, counting_lift, smooth_map)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -363,14 +363,6 @@ def test_replace_copy_screens_on_first_read(monkeypatch):
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     assert d.cantor_anchor == anchor
     assert screens == [n - 1, n - 1]
-
-
-@st.composite
-def smooth_map(draw):
-    """A rigid or Arnold make_map over random alpha and amplitude in [0, 1)."""
-    return make_map({"kind": draw(st.sampled_from(("rigid", "arnold"))),
-                     "alpha": draw(st.floats(0.0, 1.0, exclude_max=True)),
-                     "amplitude": draw(st.floats(0.0, 1.0, exclude_max=True))})
 
 
 @LIFT_PROPERTY

@@ -316,6 +316,22 @@ class TestCombinatoricsPipeline:
             "experiment failed: arcs 0 and 99 overlap; the table needs a "
             "pairwise disjoint family\n")
 
+    @pytest.mark.parametrize("message, line", [
+        ("", "experiment failed: out of memory\n"),
+        ("Unable to allocate 7.45 GiB for an array with\nshape (10**9,)",
+         "experiment failed: out of memory: Unable to allocate 7.45 GiB for "
+         "an array with shape (10**9,)\n")])
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch,
+                                     message, line):
+        def exhausted(*args):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setitem(cli._STAGES, "combinatorics", exhausted)
+        rc, out = _run(tmp_path, COUNT.format(60) + RIGID)
+        assert rc == 1
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+
     def test_integer_shifted_lift_pulls_back(self, tmp_path):
         # alpha = 5.41 is the circle map of alpha = 0.41, with a lift that
         # moves every point by about 5.41

@@ -1,16 +1,20 @@
 """Orbit profiles, semi-conjugacies and wandering-interval detection."""
+import functools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import counting_lift
+import _semiconj_reference as reference
+from conftest import SQRT2_M1, counting_lift, smooth_map
 from denjoylab import (Arc, CollapsedArcError, PeriodicOrbitError, arc_image,
                        birkhoff_estimate, build_semiconjugacy,
-                       conjugacy_verdict, dynamics, interval_orbit, make_map,
-                       omega_gap_profile, orbit_lift, wandering_verdict)
+                       conjugacy_verdict, dynamics, interval_orbit, make_denjoy,
+                       make_map, omega_gap_profile, orbit_lift,
+                       wandering_verdict)
 from denjoylab.dynamics import PLATEAU_DOMAIN_FACTOR, PLATEAU_TARGET_FACTOR
 from denjoylab.maps import first_overlap
 from denjoylab.util import circle_dist, frac
@@ -327,3 +331,180 @@ class TestOneOrbitPerCall:
             assert v.profile == omega_gap_profile(diffeo, x0, n)
         assert v.profile.verdict == "periodic-like"
         assert v.profile.periodicity == v.period == 4
+
+
+_ARGSORT = np.argsort
+
+
+def _fingerprint(semi, profile):
+    """Everything the semi-conjugacy and gap profile hold, as reprs and
+    array bytes, so a float of another type or bit pattern shows."""
+    return (repr(semi), repr(profile),
+            *(a.tobytes() for a in (semi._domain, semi._target, semi._points,
+                                    semi._knot_targets)))
+
+
+def _matches_reference(orbit, period, x0, n):
+    """Whether the whole-array semi-conjugacy and gap profile of an orbit
+    give the reference's bits.  The reference sorts with the default
+    kind; here its sort is stable, which changes nothing on an orbit
+    without repeats and breaks ties by orbit index as _semiconjugacy
+    does."""
+    pts = frac(orbit[:n + 1])
+    got = (dynamics._semiconjugacy(orbit, pts, x0, n),
+           dynamics._gap_profile(pts, np.sort(pts), period, n))
+    with mock.patch.object(np, "argsort",
+                           functools.partial(_ARGSORT, kind="stable")):
+        want = (reference._semiconjugacy(orbit, x0, n),
+                reference._gap_profile(orbit, period, n))
+    return _fingerprint(*got) == _fingerprint(*want)
+
+
+def _reference_run_sums(flat, gaps):
+    """The reference's plateau loop, kept to its run walk and span sum."""
+    n = len(flat)
+    sums = []
+    for i in np.flatnonzero(flat & ~np.roll(flat, 1)).tolist():
+        j = i
+        while flat[(j + 1) % n]:
+            j += 1
+        members = [(i + k) % n for k in range(j - i + 1)]
+        sums.append(float(np.sum(gaps[members])))
+    return sums
+
+
+def _run_sums_match_reference(flat, gaps):
+    starts, ends = dynamics._circular_runs(flat)
+    got = dynamics._run_sums(gaps, starts, ends)
+    return got.tobytes() == np.array(_reference_run_sums(flat, gaps)).tobytes()
+
+
+#: runs of 4 (wrapping past index 0), 1, 2, 3, 8 and 185 gaps
+RUNS = [[9998, 9999, 0, 1], [100], [200, 201], [300, 301, 302],
+        list(range(400, 408)), list(range(1000, 1185))]
+
+
+def _flat(runs, n=10_000):
+    flat = np.zeros(n, dtype=bool)
+    flat[np.concatenate(runs)] = True
+    return flat
+
+
+def _random_gaps(n=10_000):
+    return np.random.default_rng(29).uniform(0.5, 1.5, n) / n
+
+
+def _synthetic_orbit():
+    """A 10 000-step orbit with a golden-mean rotation number whose sorted
+    positions leave gaps wider than 10/n exactly at RUNS; the rigid
+    targets are nowhere farther apart than 3/n, so those runs are the
+    plateaus."""
+    n = 10_000
+    rng = np.random.default_rng(29)
+    gaps = rng.uniform(0.5, 1.0, n)
+    wide = np.concatenate(RUNS)
+    gaps[wide] = rng.uniform(11.0, 14.0, wide.size)
+    gaps /= gaps.sum()
+    domain = 0.5 * gaps[-1] + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+    orbit = rng.permutation(domain)
+    return np.append(orbit, orbit[0] + n * GOLDEN), None, orbit[0], n
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_target(name):
+    """The map a named fixed case iterates, as conjugacy_verdict takes it."""
+    if name == "arnold-0.3-0.3":
+        return _arnold(0.3, 0.3)
+    return make_denjoy(SQRT2_M1, N=int(name.split("-")[1]), mass=0.5)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_case(name):
+    """(orbit, period, x0, n) of a named fixed case: the anchor orbit its
+    verdict reads, at budget 10 000 for Arnold and 1 000 for Denjoy."""
+    if name == "synthetic":
+        return _synthetic_orbit()
+    target = _fixed_target(name)
+    diffeo = getattr(target, "base", target)
+    x0 = dynamics._orbit_start(target)
+    n = 10_000 if name.startswith("arnold") else 1000
+    return (*dynamics._orbit_and_period(diffeo, x0, n), x0, n)
+
+
+FIXED_CASES = ["arnold-0.3-0.3", "denjoy-30", "denjoy-50", "denjoy-100",
+               "synthetic"]
+
+
+class TestWholeArrayForm:
+    """The semi-conjugacy and gap profile against the reference loops."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(smooth_map(), st.floats(-3.0, 3.0),
+           st.sampled_from([100, 1000, 10_000]))
+    def test_smooth_maps_match_the_reference(self, f, x0, n):
+        assert _matches_reference(*dynamics._orbit_and_period(f, x0, n), x0, n)
+
+    @pytest.mark.parametrize("name", FIXED_CASES)
+    def test_fixed_cases_match_the_reference(self, name):
+        assert _matches_reference(*_fixed_case(name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(smooth_map(), st.sampled_from([100, 1000, 10_000]))
+    def test_verdict_profile_matches_the_reference(self, f, n):
+        # the verdict inserts x_n into its semi-conjugacy's sorted points
+        orbit, period = dynamics._orbit_and_period(f, dynamics.DEFAULT_ANCHOR, n)
+        assert (repr(conjugacy_verdict(f, n).profile)
+                == repr(reference._gap_profile(orbit, period, n)))
+
+    @pytest.mark.parametrize("name", ["arnold-0.3-0.3", "denjoy-30",
+                                      "denjoy-50", "denjoy-100"])
+    def test_fixed_verdicts_match_the_reference(self, name):
+        orbit, period, x0, n = _fixed_case(name)
+        v = conjugacy_verdict(_fixed_target(name), n)
+        assert repr(v.profile) == repr(reference._gap_profile(orbit, period, n))
+        assert _fingerprint(v.semi, v.profile) == _fingerprint(
+            reference._semiconjugacy(orbit, x0, n), v.profile)
+
+    def test_fixed_cases_hold_the_runs_they_name(self):
+        orbit, _, x0, n = _fixed_case("arnold-0.3-0.3")
+        semi = dynamics._semiconjugacy(orbit, frac(orbit[:n + 1]), x0, n)
+        assert len(semi.plateaus) == 575
+        orbit, _, x0, n = _fixed_case("synthetic")
+        semi = dynamics._semiconjugacy(orbit, frac(orbit[:n + 1]), x0, n)
+        # knots strictly inside each plateau arc: one fewer than its gaps
+        inside = [int(np.sum([arc.contains(p) for p in semi._domain])) - 2
+                  for arc, _ in semi.plateaus]
+        assert inside == [len(r) - 1 for r in RUNS[1:] + RUNS[:1]]
+        assert [arc.end < arc.start for arc, _ in semi.plateaus] == [
+            False] * 5 + [True]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.booleans(), min_size=2, max_size=300).filter(
+        lambda flat: not all(flat)), st.data())
+    def test_run_sums_match_the_reference_loop(self, flat, data):
+        gaps = np.array(data.draw(st.lists(
+            st.floats(1e-6, 1.0), min_size=len(flat), max_size=len(flat))))
+        assert _run_sums_match_reference(np.array(flat), gaps)
+
+    def test_run_sums_on_fixed_runs(self):
+        assert _run_sums_match_reference(_flat(RUNS), _random_gaps())
+
+    def test_reduceat_spans_fail_the_property(self, monkeypatch):
+        # orbit gaps are differences of sorted floats, whose run sums come
+        # out the same in either order; random gaps show the order
+        def reduceat_sums(gaps, starts, ends):
+            lengths = (ends - starts) % gaps.size + 1
+            bounds = np.stack([starts, starts + lengths], axis=1).ravel()
+            return np.add.reduceat(np.concatenate([gaps, gaps]), bounds)[::2]
+
+        monkeypatch.setattr(dynamics, "_run_sums", reduceat_sums)
+        assert not _run_sums_match_reference(_flat(RUNS), _random_gaps())
+
+    def test_exact_repeats_pair_in_orbit_order(self):
+        # 2 582 distinct points on the 10 000-step anchor orbit
+        f = _arnold(0.7345873954837637, 0.8930492095305911)
+        orbit, period = dynamics._orbit_and_period(f, 3.5, 3000)
+        assert np.unique(frac(orbit[:3000])).size < 3000
+        assert _matches_reference(orbit, period, 3.5, 3000)
+        # 0.011648892294727542 in the order of one CPU's default sort
+        assert build_semiconjugacy(f, 3.5, 3000).defect == 0.012001889030971657
