@@ -196,16 +196,14 @@ def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int) -> OrbitProfile:
         raise ValueError(f"n must be >= 10, got {n}")
     orbit, period = _orbit_and_period(diffeo, x0, n)
     pts = frac(orbit[:n + 1])
-    return _gap_profile(pts, np.sort(pts), period, n)
+    return _gap_profile(pts, period, n)
 
 
-def _gap_profile(pts: np.ndarray, pts_sorted: np.ndarray, period: int | None,
-                 n: int) -> OrbitProfile:
+def _gap_profile(pts: np.ndarray, period: int | None, n: int) -> OrbitProfile:
     """omega_gap_profile read from the circle positions
-    pts = frac(orbit[:n + 1]) of x0's orbit and ``pts_sorted``, all of
-    them sorted, which the verdict builds from its semi-conjugacy's sort."""
+    pts = frac(orbit[:n + 1]) of x0's orbit."""
     checkpoints = sorted({max(10, n // 4), max(10, n // 2), n})
-    prefixes = [np.sort(pts[:k + 1]) for k in checkpoints[:-1]] + [pts_sorted]
+    prefixes = [np.sort(pts[:k + 1]) for k in checkpoints]
     trend = tuple((k, float(max(np.max(np.diff(s)), 1.0 - s[-1] + s[0])))
                   for k, s in zip(checkpoints, prefixes))
     max_gap = trend[-1][1]
@@ -275,19 +273,17 @@ def _semiconjugacy(orbit: np.ndarray, pts: np.ndarray, x0: float,
     """build_semiconjugacy read from the aperiodic _orbit_and_period of x0
     and its circle positions pts = frac(orbit[:n + 1]).
 
-    The orbit is sorted once, with the default kind; an orbit that
-    repeats a position exactly is sorted again with the stable kind, since
-    the default kind leaves the order of equal keys to a CPU-dependent
-    kernel.  A plateau is a maximal circular run of flat knot gaps
-    (``_circular_runs``), the run that wraps past index 0 included.  Its
+    The orbit is sorted with the stable kind, so equal positions pair in
+    orbit order; the default kind leaves the order of equal keys to a
+    CPU-dependent kernel.  A plateau is a maximal circular run of flat
+    knot gaps (``_circular_runs``), the run that wraps past index 0
+    included.  Its
     domain and target spans are each the gap itself for a one-gap run,
     else np.sum over the run's gaps in circular order (``_run_sums``).
     """
-    order = np.argsort(pts[:n])
+    order = np.argsort(pts[:n], kind="stable")
     domain = pts[order]
     dom_gaps = np.diff(np.concatenate([domain, [domain[0] + 1.0]]))
-    if not dom_gaps.all():
-        order = np.argsort(pts[:n], kind="stable")
     alpha = birkhoff_from_orbit(orbit, n).value
     targets_sorted = np.sort(frac(np.arange(n) * alpha))
 
@@ -341,16 +337,12 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
 
     orbit, period = _orbit_and_period(diffeo, anchor, budget)
     pts = frac(orbit[:budget + 1])
+    profile = _gap_profile(pts, period, budget)
     if period is not None:
-        profile = _gap_profile(pts, np.sort(pts), period, budget)
         return ConjugacyVerdict("rational-rotation", period=period,
                                 detail="closed displacement detected",
                                 profile=profile)
     semi = _semiconjugacy(orbit, pts, anchor, budget)
-    # the semi-conjugacy sorted x_0 .. x_(n-1); x_n goes in by bisection
-    at = np.searchsorted(semi._domain, pts[budget])
-    profile = _gap_profile(pts, np.concatenate(
-        (semi._domain[:at], pts[budget:], semi._domain[at:])), period, budget)
 
     for arc, flatness in sorted(semi.plateaus, key=lambda p: -p[0].length):
         quarter = 0.25 * arc.length
