@@ -277,7 +277,8 @@ def _stage_combinatorics(report, target, diffeo, x0, cfg):
         raise ValueError(f"count must be >= 1, got {count}")
     base_arc = getattr(target, "wandering_arc", None)
     if base_arc is None:
-        orbit, q = _orbit_and_period(diffeo, _orbit_start(target, x0), count)
+        orbit, q = _orbit_and_period(diffeo, _orbit_start(target, x0),
+                                     count)[:2]
         if q is not None:
             raise PeriodicOrbitError(q, f"periodic orbit of period {q}: no "
                                         f"disjoint arc family at count={count}")

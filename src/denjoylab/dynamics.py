@@ -11,6 +11,8 @@ footprint of wandering intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,6 +43,9 @@ PERIOD_TOL = 1e-9
 PERIOD_WINDOW = 1000
 #: steps of the disjointness scan that confirms a plateau as wandering
 PROBE_STEPS = 50
+#: the period test's witnesses, as a rational verdict's detail names them
+CLOSED_DISPLACEMENT = "closed displacement detected"
+EXACT_REPEAT = "exact repeat detected"
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,15 @@ def _interp_lift(domain: np.ndarray, target: np.ndarray, arr: np.ndarray):
 
 @dataclass(frozen=True)
 class ConjugacyVerdict:
-    """Scale-limited conjugacy classification of a circle map."""
+    """Scale-limited conjugacy classification of a circle map.
+
+    ``profile`` is the gap profile of the anchor orbit the verdict was read
+    from, built on its first read by ``_profile``, an init field.  A
+    verdict whose period test iterated the budget builds it from its own
+    circle positions; one whose x_w closed extends the anchor orbit to the
+    budget through ``orbit_lift``'s slot (n - w more steps while the slot
+    holds it, else all n again, to the same bits).
+    """
 
     kind: str
     arc: Arc | None = None
@@ -122,8 +135,28 @@ class ConjugacyVerdict:
     detail: str = ""
     #: the semi-conjugacy the verdict was read from; None for a rational map
     semi: SemiConjugacy | None = field(default=None, compare=False, repr=False)
-    #: the gap profile of the anchor orbit the verdict was read from
-    profile: OrbitProfile | None = field(default=None, compare=False, repr=False)
+    _profile: Callable[[], OrbitProfile] | None = field(
+        default=None, compare=False, repr=False)
+
+    @cached_property
+    def profile(self) -> OrbitProfile | None:
+        return None if self._profile is None else self._profile()
+
+
+class _PeriodTest(NamedTuple):
+    """What ``_orbit_and_period`` read off the orbit of x0.
+
+    ``orbit`` is the lift orbit through x_w when x_w closed, else through
+    x_n; ``witness`` names the witness that gave ``period``.  ``pts`` and
+    ``order`` are None when x_w closed, else frac(orbit) and the stable
+    argsort of pts[:n].
+    """
+
+    orbit: np.ndarray
+    period: int | None
+    witness: str | None
+    pts: np.ndarray | None = None
+    order: np.ndarray | None = None
 
 
 def _orbit_start(target, x0: float | None = None) -> float:
@@ -135,17 +168,37 @@ def _orbit_start(target, x0: float | None = None) -> float:
     return float(getattr(target, "cantor_anchor", DEFAULT_ANCHOR))
 
 
-def _orbit_and_period(diffeo: CircleDiffeo, x0: float,
-                      n: int) -> tuple[np.ndarray, int | None]:
-    """The n-step lift orbit of x0 and its period: the smallest q <= w
-    with x_w - x_(w-q) within PERIOD_TOL of an integer, or None, where
-    w = min(n, PERIOD_WINDOW).  The lab's one period test: x_w against its
-    own returns, so an orbit closing in on an attracting cycle closes."""
-    orbit = orbit_lift(diffeo, x0, n)
+def _orbit_and_period(diffeo: CircleDiffeo, x0: float, n: int) -> _PeriodTest:
+    """The period of the n-step orbit of x0, by the lab's one period test,
+    which has two witnesses.
+
+    A closed displacement: x_w, w = min(n, PERIOD_WINDOW), against its own
+    returns, so an orbit closing in on an attracting cycle closes.  The
+    period is the smallest q <= w with x_w - x_(w-q) within PERIOD_TOL of
+    an integer, and only the w steps the test reads are iterated.
+    An exact repeat: when x_w does not close, the same orbit is extended
+    to x_n through ``orbit_lift``'s slot and its circle positions x_0 ..
+    x_(n-1) are sorted stably, once.  Tied neighbours are positions equal
+    mod 1 to the last bit, and the period is the smallest index gap
+    between them; the stable sort keeps each run of ties in orbit order.
+    With neither witness the period is None.
+    """
     window = min(n, PERIOD_WINDOW)
+    orbit = orbit_lift(diffeo, x0, window)
     disp = orbit[window] - orbit[window - 1::-1]
     hits = np.flatnonzero(np.abs(disp - np.round(disp)) <= PERIOD_TOL)
-    return orbit, int(hits[0]) + 1 if hits.size else None
+    if hits.size:
+        return _PeriodTest(orbit, int(hits[0]) + 1, CLOSED_DISPLACEMENT)
+    if n > window:
+        orbit = orbit_lift(diffeo, x0, n)
+    pts = frac(orbit)
+    order = np.argsort(pts[:n], kind="stable")
+    ranked = pts[order]
+    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if tied.size:
+        period = int(np.min(order[tied + 1] - order[tied]))
+        return _PeriodTest(orbit, period, EXACT_REPEAT, pts, order)
+    return _PeriodTest(orbit, None, None, pts, order)
 
 
 def interval_orbit(diffeo: CircleDiffeo, arc: Arc, n: int) -> list[Arc]:
@@ -189,13 +242,24 @@ def omega_gap_profile(diffeo: CircleDiffeo, x0: float, n: int) -> OrbitProfile:
 
     Records the largest complementary gap at budgets n/4, n/2 and n, then
     judges the limit-set trichotomy: gaps shrinking below 8/n look dense,
-    a gap stabilized far above 1/n looks like a Cantor complement, and a
-    near-integer displacement is periodic.
+    a gap stabilized far above 1/n looks like a Cantor complement, and an
+    orbit with a period (``_orbit_and_period``) is periodic.  The gaps are
+    read from the n-step orbit whatever its period: when x_w closes, the
+    w-step orbit of the period test is extended to n.
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
-    orbit, period = _orbit_and_period(diffeo, x0, n)
-    pts = frac(orbit[:n + 1])
+    test = _orbit_and_period(diffeo, x0, n)
+    return _gap_profile_of(diffeo, x0, n, test.period, test.pts)
+
+
+def _gap_profile_of(diffeo: CircleDiffeo, x0: float, n: int,
+                    period: int | None, pts: np.ndarray | None) -> OrbitProfile:
+    """omega_gap_profile from the period test of x0's orbit: from its
+    circle positions pts, or, when x_w closed (pts None), from the orbit
+    extended to n through ``orbit_lift``'s slot."""
+    if pts is None:
+        pts = frac(orbit_lift(diffeo, x0, n))
     return _gap_profile(pts, period, n)
 
 
@@ -230,16 +294,18 @@ def build_semiconjugacy(diffeo: CircleDiffeo, x0: float, n: int) -> SemiConjugac
     rank, anchored so x0 pairs with 0; that makes the interpolant
     monotone by construction and the knot equivariance defect zero
     whenever the orbit is circularly order-isomorphic to the rigid one.
-    Equal positions pair in the order of the orbit.
+    An orbit with a period (``_orbit_and_period``: x_w closes, or two
+    positions repeat exactly) raises PeriodicOrbitError; when x_w
+    closes, that costs w = min(n, PERIOD_WINDOW) steps, not n.
     """
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
-    lift_orbit, q = _orbit_and_period(diffeo, x0, n)
-    if q is not None:
+    test = _orbit_and_period(diffeo, x0, n)
+    if test.period is not None:
         raise PeriodicOrbitError(
-            q, "rational case; monotone circle-map classification applies, "
-               "no semi-conjugacy built")
-    return _semiconjugacy(lift_orbit, frac(lift_orbit[:n + 1]), x0, n)
+            test.period, "rational case; monotone circle-map classification "
+                         "applies, no semi-conjugacy built")
+    return _semiconjugacy(test.orbit, test.pts, test.order, x0, n)
 
 
 def _circular_runs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,20 +334,19 @@ def _run_sums(gaps: np.ndarray, starts: np.ndarray,
     return sums
 
 
-def _semiconjugacy(orbit: np.ndarray, pts: np.ndarray, x0: float,
-                   n: int) -> SemiConjugacy:
-    """build_semiconjugacy read from the aperiodic _orbit_and_period of x0
-    and its circle positions pts = frac(orbit[:n + 1]).
+def _semiconjugacy(orbit: np.ndarray, pts: np.ndarray, order: np.ndarray,
+                   x0: float, n: int) -> SemiConjugacy:
+    """build_semiconjugacy read from the aperiodic _orbit_and_period of x0:
+    its n-step orbit, its circle positions pts = frac(orbit[:n + 1]) and
+    the stable argsort ``order`` of pts[:n].
 
-    The orbit is sorted with the stable kind, so equal positions pair in
-    orbit order; the default kind leaves the order of equal keys to a
-    CPU-dependent kernel.  A plateau is a maximal circular run of flat
-    knot gaps (``_circular_runs``), the run that wraps past index 0
-    included.  Its
-    domain and target spans are each the gap itself for a one-gap run,
-    else np.sum over the run's gaps in circular order (``_run_sums``).
+    The stable sort pairs equal positions in orbit order; the default kind
+    leaves the order of equal keys to a CPU-dependent kernel.  A plateau
+    is a maximal circular run of flat knot gaps (``_circular_runs``), the
+    run that wraps past index 0 included.  Its domain and target spans are
+    each the gap itself for a one-gap run, else np.sum over the run's gaps
+    in circular order (``_run_sums``).
     """
-    order = np.argsort(pts[:n], kind="stable")
     domain = pts[order]
     dom_gaps = np.diff(np.concatenate([domain, [domain[0] + 1.0]]))
     alpha = birkhoff_from_orbit(orbit, n).value
@@ -329,20 +394,25 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
     then used).  Each plateau candidate is confirmed by running the
     disjointness scan on its middle half before being reported; all
     positive conjugacy statements are scale-limited.
+
+    A rational verdict's detail names the period test's witness.  When
+    x_w closes, the verdict has iterated w = min(budget, PERIOD_WINDOW)
+    steps; its gap profile, built on first read, extends the orbit to the
+    budget.  Otherwise the verdict iterates the budget once and sorts it
+    once.
     """
     if budget < 100:
         raise ValueError(f"budget must be >= 100, got {budget}")
     diffeo = getattr(target_map, "base", target_map)
     anchor = _orbit_start(target_map)
 
-    orbit, period = _orbit_and_period(diffeo, anchor, budget)
-    pts = frac(orbit[:budget + 1])
-    profile = _gap_profile(pts, period, budget)
-    if period is not None:
-        return ConjugacyVerdict("rational-rotation", period=period,
-                                detail="closed displacement detected",
-                                profile=profile)
-    semi = _semiconjugacy(orbit, pts, anchor, budget)
+    test = _orbit_and_period(diffeo, anchor, budget)
+    profile = partial(_gap_profile_of, diffeo, anchor, budget, test.period,
+                      test.pts)
+    if test.period is not None:
+        return ConjugacyVerdict("rational-rotation", period=test.period,
+                                detail=test.witness, _profile=profile)
+    semi = _semiconjugacy(test.orbit, test.pts, test.order, anchor, budget)
 
     for arc, flatness in sorted(semi.plateaus, key=lambda p: -p[0].length):
         quarter = 0.25 * arc.length
@@ -352,9 +422,10 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
             return ConjugacyVerdict(
                 "wandering-interval-found", arc=arc,
                 detail=f"plateau flatness {flatness:.3e}; images disjoint "
-                       f"for {PROBE_STEPS} steps", semi=semi, profile=profile)
+                       f"for {PROBE_STEPS} steps", semi=semi,
+                _profile=profile)
     detail = ("no plateau at this resolution"
               if not semi.plateaus else "plateaus present but unconfirmed")
     return ConjugacyVerdict("conjugate-evidence",
                             detail=detail + "; scale-limited statement",
-                            semi=semi, profile=profile)
+                            semi=semi, _profile=profile)

@@ -39,6 +39,9 @@ MAPS = {
     "arnold-5.41-0.6": (["kind = arnold", "alpha = 5.41", "amplitude = 0.6"], []),
     "arnold-0.3-0.3-budget10000": (
         ["kind = arnold", "alpha = 0.3", "amplitude = 0.3"], ["budget = 10000"]),
+    # mode-locked, period 2: x_w closes, and the gap profile reads on to the budget
+    "arnold-0.5-0.3-budget10000": (
+        ["kind = arnold", "alpha = 0.5", "amplitude = 0.3"], ["budget = 10000"]),
     "denjoy-sqrt2m1-n30": (["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 30"], []),
     "denjoy-sqrt2m1-n50": (["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 50"], []),
     "denjoy-sqrt2m1-n100": (["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 100"], []),

@@ -33,6 +33,27 @@ function_depth = 10
 depth = 10
 """
 
+CONJ_GOLDEN = """
+[experiment]
+pipeline = conjugacy
+budget = 2000
+
+[map]
+kind = rigid
+alpha = 0.6180339887498949
+"""
+
+CONJ_LOCKED = """
+[experiment]
+pipeline = conjugacy
+budget = 10000
+
+[map]
+kind = arnold
+alpha = 0.5
+amplitude = 0.3
+"""
+
 CONJ_DENJOY = """
 [experiment]
 pipeline = conjugacy
@@ -215,33 +236,78 @@ class TestConjugacyPipeline:
         assert c["plateau_count"] >= 1
 
     @staticmethod
-    def _orbit_steps(monkeypatch, pipeline="conjugacy", extra=""):
-        """Lengths of the orbits dynamics iterates for one Denjoy N = 50
-        run at budget 1000."""
+    def _orbit_work(monkeypatch, pipeline="conjugacy", extra="",
+                    config=None):
+        """The lengths of the orbits dynamics asks for and the number of
+        scalar lift evaluations after the build, in one run of the config
+        (by default Denjoy N = 50 at budget 1000).  Orbit steps and probe
+        images are scalar; the crossratio and variation stages evaluate
+        arrays."""
         steps = []
         real = dynamics.orbit_lift
+        lifts = []
 
         def counting(diffeo, x0, n):
             steps.append(n)
             return real(diffeo, x0, n)
 
+        def build_denjoy(*args, **kwargs):
+            target = make_denjoy(*args, **kwargs)
+            lifts.append(count_lift_in_place(target.base))
+            return target
+
+        def build_map(recipe):
+            target = catalog.make_map(recipe)
+            lifts.append(count_lift_in_place(target))
+            return target
+
         monkeypatch.setattr(dynamics, "orbit_lift", counting)
-        text = CONJ_DENJOY.replace("budget = 400", "budget = 1000" + extra)
-        run_experiment(text.replace("N = 30", "N = 50").replace(
-            "pipeline = conjugacy", f"pipeline = {pipeline}"))
-        return steps
+        monkeypatch.setattr(cli, "make_denjoy", build_denjoy)
+        monkeypatch.setattr(cli, "make_map", build_map)
+        if config is None:
+            config = CONJ_DENJOY.replace("budget = 400", "budget = 1000")
+            config = config.replace("N = 30", "N = 50")
+        config = config.replace("pipeline = conjugacy",
+                                f"pipeline = {pipeline}")
+        run_experiment(config.replace("[map]", extra + "\n[map]"))
+        [calls] = lifts
+        return steps, sum(isinstance(x, float) for x in calls)
 
     def test_stage_iterates_each_anchor_once(self, monkeypatch):
         # the budget, shared by the verdict's period, semi-conjugacy and
-        # gap profile
-        assert self._orbit_steps(monkeypatch) == [1000]
+        # gap profile; the anchor screen stored 1 101 steps, so the lift
+        # runs only in the probe of the plateau that is confirmed
+        probe = 2 * dynamics.PROBE_STEPS
+        assert self._orbit_work(monkeypatch) == ([1000], probe)
 
     def test_x0_gap_profile_iterates_its_own_orbit(self, monkeypatch):
-        steps = self._orbit_steps(monkeypatch, extra="\nx0 = 0.3")
-        assert steps == [1000, 1000]
+        probe = 2 * dynamics.PROBE_STEPS
+        assert self._orbit_work(monkeypatch, extra="x0 = 0.3") == (
+            [1000, 1000], probe + 1000)
 
     def test_full_criterion_iterates_each_anchor_once(self, monkeypatch):
-        assert self._orbit_steps(monkeypatch, "full-criterion") == [1000]
+        probe = 2 * dynamics.PROBE_STEPS
+        assert self._orbit_work(monkeypatch, "full-criterion") == (
+            [1000], probe)
+
+    def test_aperiodic_stage_evaluates_the_budget_once(self, monkeypatch):
+        # x_w, then the same orbit on to x_n; no plateau, so no probe
+        w = dynamics.PERIOD_WINDOW
+        assert self._orbit_work(monkeypatch, config=CONJ_GOLDEN) == (
+            [w, 2000], 2000)
+        assert self._orbit_work(monkeypatch, extra="x0 = 0.3",
+                                config=CONJ_GOLDEN) == (
+            [w, 2000, w, 2000], 4000)
+
+    def test_rational_stage_reads_its_profile_at_once(self, monkeypatch):
+        # the verdict stops at x_w; the stage reads the profile, which
+        # extends the stored orbit to x_n: n lift evaluations in all
+        w = dynamics.PERIOD_WINDOW
+        assert self._orbit_work(monkeypatch, config=CONJ_LOCKED) == (
+            [w, 10_000], 10_000)
+        assert self._orbit_work(monkeypatch, extra="x0 = 0.3",
+                                config=CONJ_LOCKED) == (
+            [w, 10_000, w, 10_000], 20_000)
 
     def test_x0_moves_only_the_gap_profile(self):
         text = CONJ_DENJOY.replace("budget = 400", "budget = 400\nx0 = 0.3")

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _semiconj_reference as reference
-from conftest import SQRT2_M1, counting_lift, smooth_map
+import _verdict_reference
+from _orbit_reference import orbit_lift_reference
+from conftest import SQRT2_M1, count_lift_in_place, counting_lift, smooth_map
 from denjoylab import (Arc, CollapsedArcError, PeriodicOrbitError, arc_image,
                        birkhoff_estimate, build_semiconjugacy,
                        conjugacy_verdict, dynamics, interval_orbit, make_denjoy,
@@ -21,6 +23,10 @@ from denjoylab.util import circle_dist, frac
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 QUARTER = {"kind": "rigid", "alpha": 0.25}
+GOLDEN_RIGID = {"kind": "rigid", "alpha": GOLDEN}
+#: mode-locked at period 2: x_w closes
+LOCKED = {"kind": "arnold", "alpha": 0.5, "amplitude": 0.3}
+W = dynamics.PERIOD_WINDOW
 
 
 class TestIntervalOrbit:
@@ -204,14 +210,81 @@ class TestPeriodTest:
         v = conjugacy_verdict(f, 1000)
         if v.kind != "rational-rotation":
             return
-        grid = np.linspace(0.0, 1.0, 1025)
-        image = grid
-        for _ in range(v.period):
-            image = f.lift_eval(image)
-        disp = image - grid
-        # F^q - id - p reaches within PERIOD_TOL of 0 from both sides
-        p = math.ceil(disp.min() - dynamics.PERIOD_TOL)
-        assert p <= disp.max() + dynamics.PERIOD_TOL
+        assert _has_a_cycle_of_period(f, v.period)
+
+
+def _has_a_cycle_of_period(f, q):
+    """Whether F^q - id - p reaches within PERIOD_TOL of 0 from both sides
+    on a 1 025-point grid, for some integer p: then the circle map has a
+    point of period dividing q.  Each step is taken on the point mod 1 and
+    its integer part kept apart, so q steps round as near 1, not near the
+    lift magnitude q F reaches (about 6e3 for rigid 0.6167 at q = 10 000,
+    where the rounding would pass PERIOD_TOL)."""
+    grid = np.linspace(0.0, 1.0, 1025)
+    image, whole = grid, np.zeros_like(grid)
+    for _ in range(q):
+        image = f.lift_eval(image)
+        step = np.floor(image)
+        image, whole = image - step, whole + step
+    disp = image - grid + whole
+    p = math.ceil(disp.min() - dynamics.PERIOD_TOL)
+    return p <= disp.max() + dynamics.PERIOD_TOL
+
+
+def _tied_neighbours(f, x0, n):
+    """The index gaps of the tied neighbours among the stably sorted
+    circle positions x_0 .. x_(n-1) of the orbit of x0."""
+    pts = frac(orbit_lift(f, x0, n)[:n])
+    order = np.argsort(pts, kind="stable")
+    tied = np.flatnonzero(np.diff(pts[order]) == 0.0)
+    return order[tied + 1] - order[tied]
+
+
+class TestExactRepeatWitness:
+    """A period from exact float repeats, where x_w does not close."""
+
+    @pytest.mark.parametrize("recipe, budget, ties, period", [
+        ({"kind": "arnold", "alpha": 0.7345873954837637,
+          "amplitude": 0.8930492095305911}, 10_000, 7418, 17),
+        ({"kind": "arnold", "alpha": 0.4435995803815806,
+          "amplitude": 0.8319394050063478}, 10_000, 2181, 9),
+        ({"kind": "arnold", "alpha": 0.8696381506786792,
+          "amplitude": 0.7223246990531371}, 10_000, 5005, 16),
+        ({"kind": "rigid", "alpha": 0.6167}, 100_000, 3, 10_000),
+    ])
+    def test_repeating_orbits_read_their_period(self, recipe, budget, ties,
+                                                period):
+        f = make_map(recipe)
+        gaps = _tied_neighbours(f, dynamics.DEFAULT_ANCHOR, budget)
+        assert (gaps.size, gaps.min()) == (ties, period)
+        v = conjugacy_verdict(f, budget)
+        assert (v.kind, v.period, v.detail) == (
+            "rational-rotation", period, dynamics.EXACT_REPEAT)
+        assert v.profile.periodicity == period
+        with pytest.raises(PeriodicOrbitError) as err:
+            build_semiconjugacy(f, dynamics.DEFAULT_ANCHOR, budget)
+        assert err.value.period == period
+        # the float cycle is backed by a cycle of the map
+        assert _has_a_cycle_of_period(f, period)
+
+    @pytest.mark.parametrize("recipe, budget, period", [
+        (QUARTER, 1000, 4), ({"kind": "rigid", "alpha": 0.618}, 10_000, 500),
+        (LOCKED, 10_000, 2)])
+    def test_closed_displacements_keep_their_witness(self, recipe, budget,
+                                                     period):
+        v = conjugacy_verdict(make_map(recipe), budget)
+        assert (v.kind, v.period, v.detail) == (
+            "rational-rotation", period, dynamics.CLOSED_DISPLACEMENT)
+
+    def test_aperiodic_orbits_have_no_tie(self, denjoy50):
+        f = _arnold(0.3, 0.3)
+        x0 = dynamics.DEFAULT_ANCHOR
+        assert _tied_neighbours(f, x0, 10_000).size == 0
+        assert dynamics._orbit_and_period(f, x0, 10_000).period is None
+        x0 = denjoy50.cantor_anchor
+        assert _tied_neighbours(denjoy50.base, x0, 1000).size == 0
+        test = dynamics._orbit_and_period(denjoy50.base, x0, 1000)
+        assert test.period is None
 
 
 @pytest.fixture
@@ -228,21 +301,102 @@ def orbit_calls(monkeypatch):
     return calls
 
 
+class TestVerdictAgainstTheEagerReference:
+    """The verdict that stops at the window and builds its profile on read,
+    against a copy that iterates the whole budget first."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(smooth_map(), st.integers(100, 20_000), st.booleans())
+    def test_verdict_semiconjugacy_and_profile_match(self, f, budget,
+                                                      replace_slot):
+        v = conjugacy_verdict(f, budget)
+        if replace_slot:
+            orbit_lift(f, 0.5, 10)
+        profile = v.profile
+        want, semi, want_profile = _verdict_reference.conjugacy_verdict(
+            f, budget)
+        assert repr((v.kind, v.period, v.detail, v.arc)) == repr(want)
+        assert repr(profile) == repr(want_profile)
+        if semi is None:
+            assert v.semi is None
+        else:
+            assert _fingerprint(v.semi, profile) == _fingerprint(
+                semi, want_profile)
+
+
+def _counted(recipe):
+    """A new map, so no stored orbit matches, whose lift records its calls
+    in place (no ``lift_eval.orbit``: one call per orbit step)."""
+    f = make_map(recipe)
+    return f, count_lift_in_place(f)
+
+
 class TestOneOrbitPerCall:
+    """Orbit requests, and the lift evaluations they cost: the period test
+    asks for x_w, w = min(n, PERIOD_WINDOW), then for x_n on the same
+    orbit when x_w does not close."""
+
     def test_semiconjugacy_iterates_once(self, denjoy50, orbit_calls):
         build_semiconjugacy(denjoy50.base, denjoy50.cantor_anchor, 1000)
-        # the period test reads the n-step orbit itself
+        # the period test reads the n-step orbit itself: n = w
         assert orbit_calls == [1000]
 
-    def test_gap_profile_iterates_once(self, golden_rotation, orbit_calls):
-        omega_gap_profile(golden_rotation, 0.1, n=5000)
-        assert orbit_calls == [5000]
+    def test_aperiodic_semiconjugacy_evaluates_n_lifts(self, orbit_calls):
+        f, lifts = _counted(GOLDEN_RIGID)
+        build_semiconjugacy(f, 0.1, 5000)
+        assert orbit_calls == [W, 5000]
+        assert len(lifts) == 5000
 
-    def test_plateau_free_verdict_iterates_once(self, golden_rotation,
-                                                orbit_calls):
-        v = conjugacy_verdict(golden_rotation, 2000)
+    def test_gap_profile_iterates_once(self, orbit_calls):
+        f, lifts = _counted(GOLDEN_RIGID)
+        omega_gap_profile(f, 0.1, n=5000)
+        assert orbit_calls == [W, 5000]
+        assert len(lifts) == 5000
+
+    def test_plateau_free_verdict_iterates_once(self, orbit_calls):
+        f, lifts = _counted(GOLDEN_RIGID)
+        v = conjugacy_verdict(f, 2000)
         assert v.semi.plateaus == ()
-        assert orbit_calls == [2000]
+        assert orbit_calls == [W, 2000]
+        assert len(lifts) == 2000
+        # the profile is read from the verdict's own positions
+        assert v.profile.verdict == "dense-like"
+        assert orbit_calls == [W, 2000]
+        assert len(lifts) == 2000
+
+    def test_rational_verdict_iterates_the_window(self, orbit_calls):
+        f, lifts = _counted(LOCKED)
+        v = conjugacy_verdict(f, 10_000)
+        assert (v.kind, v.period) == ("rational-rotation", 2)
+        assert orbit_calls == [W]
+        assert len(lifts) == W
+        # the first read of the profile extends the stored orbit to n
+        profile = v.profile
+        assert orbit_calls == [W, 10_000]
+        assert len(lifts) == 10_000
+        assert v.profile is profile
+        assert profile == omega_gap_profile(f, dynamics.DEFAULT_ANCHOR, 10_000)
+        assert len(lifts) == 10_000
+
+    def test_rational_profile_reads_again_past_a_replaced_slot(self):
+        f, lifts = _counted(LOCKED)
+        v = conjugacy_verdict(f, 10_000)
+        orbit_lift(f, 0.3, 500)
+        assert len(lifts) == W + 500
+        # the slot holds x0 = 0.3 now: the profile iterates all n again
+        profile = v.profile
+        assert len(lifts) == W + 500 + 10_000
+        orbit = orbit_lift_reference(make_map(LOCKED), dynamics.DEFAULT_ANCHOR,
+                                     10_000)
+        assert repr(profile) == repr(reference._gap_profile(orbit, 2, 10_000))
+
+    def test_rational_semiconjugacy_raises_after_the_window(self,
+                                                            orbit_calls):
+        f, lifts = _counted(LOCKED)
+        with pytest.raises(PeriodicOrbitError):
+            build_semiconjugacy(f, dynamics.DEFAULT_ANCHOR, 10_000)
+        assert orbit_calls == [W]
+        assert len(lifts) == W
 
     def test_alpha_is_the_birkhoff_estimate(self, denjoy50, golden_rotation):
         for diffeo, x0, n in ((denjoy50.base, denjoy50.cantor_anchor, 1000),
@@ -320,15 +474,19 @@ class TestOneOrbitPerCall:
                                                 golden_rotation, orbit_calls):
         quarter = make_map(QUARTER)
         anchor = dynamics.DEFAULT_ANCHOR
-        for target, diffeo, x0, n in (
-                (denjoy50, denjoy50.base, denjoy50.cantor_anchor, 1000),
-                (golden_rotation, golden_rotation, anchor, 2000),
-                (quarter, quarter, anchor, 500)):
+        for target, diffeo, x0, n, asked, read in (
+                (denjoy50, denjoy50.base, denjoy50.cantor_anchor, 1000,
+                 [1000], []),
+                (golden_rotation, golden_rotation, anchor, 2000, [W, 2000], []),
+                # x_w closed at w = n: the read takes x_n from the slot
+                (quarter, quarter, anchor, 500, [500], [500])):
             orbit_calls.clear()
             v = conjugacy_verdict(target, n)
             # one anchor orbit per verdict, whatever its kind
-            assert len(orbit_calls) == 1
-            assert v.profile == omega_gap_profile(diffeo, x0, n)
+            assert orbit_calls == asked
+            profile = v.profile
+            assert orbit_calls == asked + read
+            assert profile == omega_gap_profile(diffeo, x0, n)
         assert v.profile.verdict == "periodic-like"
         assert v.profile.periodicity == v.period == 4
 
@@ -344,15 +502,29 @@ def _fingerprint(semi, profile):
                                     semi._knot_targets)))
 
 
+def _semi(orbit, x0, n):
+    """_semiconjugacy of an n-step orbit, sorted as _orbit_and_period
+    sorts it."""
+    pts = frac(orbit[:n + 1])
+    order = np.argsort(pts[:n], kind="stable")
+    return dynamics._semiconjugacy(orbit, pts, order, x0, n)
+
+
+def _anchor_case(diffeo, x0, n):
+    """(orbit, period, x0, n): the n-step orbit of x0 from orbit_lift and
+    the period _orbit_and_period reads on it."""
+    return (orbit_lift(diffeo, x0, n),
+            dynamics._orbit_and_period(diffeo, x0, n).period, x0, n)
+
+
 def _matches_reference(orbit, period, x0, n):
-    """Whether the whole-array semi-conjugacy and gap profile of an orbit
-    give the reference's bits.  The reference sorts with the default
+    """Whether the whole-array semi-conjugacy and gap profile of an n-step
+    orbit give the reference's bits.  The reference sorts with the default
     kind; here its sort is stable, which changes nothing on an orbit
     without repeats and breaks ties by orbit index as _semiconjugacy
     does."""
-    pts = frac(orbit[:n + 1])
-    got = (dynamics._semiconjugacy(orbit, pts, x0, n),
-           dynamics._gap_profile(pts, period, n))
+    got = (_semi(orbit, x0, n),
+           dynamics._gap_profile(frac(orbit[:n + 1]), period, n))
     with mock.patch.object(np, "argsort",
                            functools.partial(_ARGSORT, kind="stable")):
         want = (reference._semiconjugacy(orbit, x0, n),
@@ -428,7 +600,7 @@ def _fixed_case(name):
     diffeo = getattr(target, "base", target)
     x0 = dynamics._orbit_start(target)
     n = 10_000 if name.startswith("arnold") else 1000
-    return (*dynamics._orbit_and_period(diffeo, x0, n), x0, n)
+    return _anchor_case(diffeo, x0, n)
 
 
 FIXED_CASES = ["arnold-0.3-0.3", "denjoy-30", "denjoy-50", "denjoy-100",
@@ -442,7 +614,7 @@ class TestWholeArrayForm:
     @given(smooth_map(), st.floats(-3.0, 3.0),
            st.sampled_from([100, 1000, 10_000]))
     def test_smooth_maps_match_the_reference(self, f, x0, n):
-        assert _matches_reference(*dynamics._orbit_and_period(f, x0, n), x0, n)
+        assert _matches_reference(*_anchor_case(f, x0, n))
 
     @pytest.mark.parametrize("name", FIXED_CASES)
     def test_fixed_cases_match_the_reference(self, name):
@@ -451,7 +623,7 @@ class TestWholeArrayForm:
     @settings(max_examples=40, deadline=None)
     @given(smooth_map(), st.sampled_from([100, 1000, 10_000]))
     def test_verdict_profile_matches_the_reference(self, f, n):
-        orbit, period = dynamics._orbit_and_period(f, dynamics.DEFAULT_ANCHOR, n)
+        orbit, period, _, _ = _anchor_case(f, dynamics.DEFAULT_ANCHOR, n)
         assert (repr(conjugacy_verdict(f, n).profile)
                 == repr(reference._gap_profile(orbit, period, n)))
 
@@ -466,10 +638,9 @@ class TestWholeArrayForm:
 
     def test_fixed_cases_hold_the_runs_they_name(self):
         orbit, _, x0, n = _fixed_case("arnold-0.3-0.3")
-        semi = dynamics._semiconjugacy(orbit, frac(orbit[:n + 1]), x0, n)
-        assert len(semi.plateaus) == 575
+        assert len(_semi(orbit, x0, n).plateaus) == 575
         orbit, _, x0, n = _fixed_case("synthetic")
-        semi = dynamics._semiconjugacy(orbit, frac(orbit[:n + 1]), x0, n)
+        semi = _semi(orbit, x0, n)
         # knots strictly inside each plateau arc: one fewer than its gaps
         inside = [int(np.sum([arc.contains(p) for p in semi._domain])) - 2
                   for arc, _ in semi.plateaus]
@@ -502,8 +673,9 @@ class TestWholeArrayForm:
     def test_exact_repeats_pair_in_orbit_order(self):
         # 2 582 distinct points on the 10 000-step anchor orbit
         f = _arnold(0.7345873954837637, 0.8930492095305911)
-        orbit, period = dynamics._orbit_and_period(f, 3.5, 3000)
+        orbit, period, x0, n = _anchor_case(f, 3.5, 3000)
         assert np.unique(frac(orbit[:3000])).size < 3000
+        assert period == 17
         assert _matches_reference(orbit, period, 3.5, 3000)
         # 0.011648892294727542 in the order of one CPU's default sort
-        assert build_semiconjugacy(f, 3.5, 3000).defect == 0.012001889030971657
+        assert _semi(orbit, x0, n).defect == 0.012001889030971657
