@@ -58,8 +58,7 @@ from .combinatorics import (PULLBACK_MULTIPLICITY_BOUND,
                             predecessor_successor_table, pullback_arcs)
 from .crossratio import crd_variation_estimate
 from .dynamics import (DENSE_GAP_FACTOR, PERIOD_WINDOW, _orbit_and_period,
-                       _orbit_start, conjugacy_verdict, interval_orbit,
-                       omega_gap_profile)
+                       _orbit_start, conjugacy_verdict, interval_orbit)
 from .errors import DenjoyLabError, NonMonotoneMapError, PeriodicOrbitError
 from .maps import Arc, orbit_lift
 from .rotation import birkhoff_from_orbit
@@ -247,10 +246,8 @@ def _stage_conjugacy(report, target, diffeo, x0, cfg):
     budget = cfg.getint("experiment", "budget",
                         fallback=cfg.getint("experiment", "n",
                                             fallback=1000))
-    verdict = conjugacy_verdict(target, budget)
+    verdict = conjugacy_verdict(target, budget, x0)
     prof = verdict.profile
-    if x0 is not None:
-        prof = omega_gap_profile(diffeo, x0, budget)
     metrics = {
         "kind": verdict.kind,
         "detail": verdict.detail,
@@ -277,12 +274,12 @@ def _stage_combinatorics(report, target, diffeo, x0, cfg):
         raise ValueError(f"count must be >= 1, got {count}")
     base_arc = getattr(target, "wandering_arc", None)
     if base_arc is None:
-        orbit, q = _orbit_and_period(diffeo, _orbit_start(target, x0),
-                                     count)[:2]
+        # an orbit that does not close carries pts = frac(orbit)
+        test = _orbit_and_period(diffeo, _orbit_start(target, x0), count)
+        q, pts = test.period, test.pts
         if q is not None:
             raise PeriodicOrbitError(q, f"periodic orbit of period {q}: no "
                                         f"disjoint arc family at count={count}")
-        pts = frac(orbit)
         gaps = np.diff(np.sort(pts), append=pts.min() + 1.0)
         half = 0.25 * float(gaps.min())
         arcs = [Arc(p - half, p + half) for p in pts]

@@ -84,22 +84,31 @@ class SemiConjugacy:
     run's first knot to the knot after its last gap.  Flatness is the
     target span over the domain span, each the gap itself for a one-gap
     run and otherwise np.sum over the run's gaps in circular order.
+    Both tuples are built when read, from the arrays kept here.
     """
 
     anchor: float
     alpha: float
     defect: float
-    plateaus: tuple
     _domain: np.ndarray
     _target: np.ndarray
     _points: np.ndarray
     _knot_targets: np.ndarray
+    _plateau_lo: np.ndarray
+    _plateau_hi: np.ndarray
+    _flatness: np.ndarray
 
     @property
     def knots(self) -> tuple:
-        """(f^k(x0) mod 1, target) pairs of plain floats, k = 0 .. n - 1,
-        built when read."""
+        """(f^k(x0) mod 1, target) pairs of plain floats, k = 0 .. n - 1."""
         return tuple(zip(self._points.tolist(), self._knot_targets.tolist()))
+
+    @property
+    def plateaus(self) -> tuple:
+        """(Arc, flatness) pairs of the plateaus, flatness a plain float."""
+        return tuple((Arc(lo, hi), ratio) for lo, hi, ratio in zip(
+            self._plateau_lo.tolist(), self._plateau_hi.tolist(),
+            self._flatness.tolist()))
 
     def interpolant(self, x):
         """Evaluate the piecewise-linear lift h with h(x+1) = h(x) + 1."""
@@ -121,10 +130,10 @@ def _interp_lift(domain: np.ndarray, target: np.ndarray, arr: np.ndarray):
 class ConjugacyVerdict:
     """Scale-limited conjugacy classification of a circle map.
 
-    ``profile`` is the gap profile of the anchor orbit the verdict was read
+    ``profile`` is the gap profile of the orbit the verdict was read
     from, built on its first read by ``_profile``, an init field.  A
     verdict whose period test iterated the budget builds it from its own
-    circle positions; one whose x_w closed extends the anchor orbit to the
+    circle positions; one whose x_w closed extends that orbit to the
     budget through ``orbit_lift``'s slot (n - w more steps while the slot
     holds it, else all n again, to the same bits).
     """
@@ -160,9 +169,9 @@ class _PeriodTest(NamedTuple):
 
 
 def _orbit_start(target, x0: float | None = None) -> float:
-    """The orbit start on a map object: x0 when set, else the map's
-    ``cantor_anchor`` (a Denjoy map screens for it on the first read),
-    else ``DEFAULT_ANCHOR``."""
+    """The start of every orbit a run reads, the conjugacy verdict's too:
+    x0 when set, else the map's ``cantor_anchor`` (a Denjoy map screens
+    for it on the first read), else ``DEFAULT_ANCHOR``."""
     if x0 is not None:
         return x0
     return float(getattr(target, "cantor_anchor", DEFAULT_ANCHOR))
@@ -374,26 +383,25 @@ def _semiconjugacy(orbit: np.ndarray, pts: np.ndarray, order: np.ndarray,
     starts, ends = _circular_runs(flat)
     flatness = _run_sums(tgt_gaps, starts, ends) / _run_sums(
         dom_gaps, starts, ends)
-    plateaus = tuple(
-        (Arc(lo, hi), ratio) for lo, hi, ratio in zip(
-            domain[starts].tolist(), domain[(ends + 1) % n].tolist(),
-            flatness.tolist()))
+    lo, hi = domain[starts], domain[(ends + 1) % n]
 
     return SemiConjugacy(anchor=float(x0), alpha=float(alpha),
-                         defect=float(defect), plateaus=plateaus,
-                         _domain=domain, _target=target_inc,
-                         _points=pts[:n], _knot_targets=knot_targets)
+                         defect=float(defect), _domain=domain,
+                         _target=target_inc, _points=pts[:n],
+                         _knot_targets=knot_targets, _plateau_lo=lo,
+                         _plateau_hi=hi, _flatness=flatness)
 
 
-def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
+def conjugacy_verdict(target_map, budget: int,
+                      x0: float | None = None) -> ConjugacyVerdict:
     """Classify a circle map as conjugate-evidence,
     wandering-interval-found, or rational-rotation.
 
-    Accepts either a plain diffeomorphism or a wandering-interval
-    construction (whose base map and distinguished minimal-set anchor are
-    then used).  Each plateau candidate is confirmed by running the
-    disjointness scan on its middle half before being reported; all
-    positive conjugacy statements are scale-limited.
+    Accepts a plain diffeomorphism or a wandering-interval construction,
+    whose base map is used; the period, semi-conjugacy and gap profile
+    read one orbit, from ``_orbit_start(target_map, x0)``.  Plateaus are
+    probed longest first, by the disjointness scan on the middle half;
+    only probed ones become arcs.  Positive statements are scale-limited.
 
     A rational verdict's detail names the period test's witness.  When
     x_w closes, the verdict has iterated w = min(budget, PERIOD_WINDOW)
@@ -404,7 +412,7 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
     if budget < 100:
         raise ValueError(f"budget must be >= 100, got {budget}")
     diffeo = getattr(target_map, "base", target_map)
-    anchor = _orbit_start(target_map)
+    anchor = _orbit_start(target_map, x0)
 
     test = _orbit_and_period(diffeo, anchor, budget)
     profile = partial(_gap_profile_of, diffeo, anchor, budget, test.period,
@@ -414,7 +422,11 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
                                 detail=test.witness, _profile=profile)
     semi = _semiconjugacy(test.orbit, test.pts, test.order, anchor, budget)
 
-    for arc, flatness in sorted(semi.plateaus, key=lambda p: -p[0].length):
+    lo, hi, flat = semi._plateau_lo, semi._plateau_hi, semi._flatness
+    lengths = (hi - lo) % 1.0 % 1.0
+    # stable: tied lengths keep the order of their runs' first gaps
+    for i in np.argsort(-lengths, kind="stable").tolist():
+        arc, flatness = Arc(lo[i], hi[i]), flat[i]
         quarter = 0.25 * arc.length
         middle = Arc(arc.start + quarter, arc.start + 3.0 * quarter)
         probe = wandering_verdict(diffeo, middle, n=PROBE_STEPS)
@@ -425,7 +437,7 @@ def conjugacy_verdict(target_map, budget: int) -> ConjugacyVerdict:
                        f"for {PROBE_STEPS} steps", semi=semi,
                 _profile=profile)
     detail = ("no plateau at this resolution"
-              if not semi.plateaus else "plateaus present but unconfirmed")
+              if not lo.size else "plateaus present but unconfirmed")
     return ConjugacyVerdict("conjugate-evidence",
                             detail=detail + "; scale-limited statement",
                             semi=semi, _profile=profile)

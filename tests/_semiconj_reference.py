@@ -45,8 +45,11 @@ def _gap_profile(orbit: np.ndarray, period: int | None, n: int) -> OrbitProfile:
                         periodicity=period, verdict=verdict)
 
 
-def _semiconjugacy(orbit: np.ndarray, x0: float, n: int) -> SemiConjugacy:
-    """build_semiconjugacy read from the aperiodic _orbit_and_period of x0."""
+def _semiconjugacy(orbit: np.ndarray, x0: float,
+                   n: int) -> tuple[SemiConjugacy, tuple]:
+    """build_semiconjugacy read from the aperiodic _orbit_and_period of x0,
+    and the (Arc, flatness) plateau tuple the loop builds; the
+    semi-conjugacy keeps the loop's plateau ends and flatness as arrays."""
     pts = frac(orbit[:n])
     alpha = birkhoff_from_orbit(orbit, n).value
     targets_sorted = np.sort(frac(np.arange(n) * alpha))
@@ -86,7 +89,12 @@ def _semiconjugacy(orbit: np.ndarray, x0: float, n: int) -> SemiConjugacy:
         span_t = float(np.sum(tgt_gaps[members]))
         plateaus.append((Arc(lo, hi), span_t / span_d))
 
-    return SemiConjugacy(anchor=float(x0), alpha=float(alpha),
-                         defect=float(defect), plateaus=tuple(plateaus),
-                         _domain=domain, _target=target_inc,
-                         _points=pts, _knot_targets=knot_targets)
+    lo, hi, flatness = np.array(
+        [(arc.start, arc.end, ratio) for arc, ratio in plateaus],
+        dtype=float).reshape(-1, 3).T
+    semi = SemiConjugacy(anchor=float(x0), alpha=float(alpha),
+                         defect=float(defect), _domain=domain,
+                         _target=target_inc, _points=pts,
+                         _knot_targets=knot_targets, _plateau_lo=lo,
+                         _plateau_hi=hi, _flatness=flatness)
+    return semi, tuple(plateaus)

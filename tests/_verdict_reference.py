@@ -40,8 +40,9 @@ def period_witness(orbit, n):
 
 
 def conjugacy_verdict(target_map, budget):
-    """(kind, period, detail, arc), semi-conjugacy and gap profile of the
-    verdict; the semi-conjugacy is None for a rational map."""
+    """(kind, period, detail, arc), the reference's (semi-conjugacy,
+    plateaus) pair and the gap profile of the verdict; the pair is None
+    for a rational map."""
     diffeo = getattr(target_map, "base", target_map)
     anchor = _orbit_start(target_map)
     orbit = orbit_lift_reference(diffeo, anchor, budget)
@@ -49,8 +50,9 @@ def conjugacy_verdict(target_map, budget):
     profile = reference._gap_profile(orbit, period, budget)
     if period is not None:
         return ("rational-rotation", period, witness, None), None, profile
-    semi = reference._semiconjugacy(orbit, anchor, budget)
-    for arc, flatness in sorted(semi.plateaus, key=lambda p: -p[0].length):
+    ref = reference._semiconjugacy(orbit, anchor, budget)
+    _, plateaus = ref
+    for arc, flatness in sorted(plateaus, key=lambda p: -p[0].length):
         quarter = 0.25 * arc.length
         middle = Arc(arc.start + quarter, arc.start + 3.0 * quarter)
         probe = wandering_verdict(diffeo, middle, PROBE_STEPS)
@@ -58,8 +60,8 @@ def conjugacy_verdict(target_map, budget):
             detail = (f"plateau flatness {flatness:.3e}; images disjoint "
                       f"for {PROBE_STEPS} steps")
             verdict = ("wandering-interval-found", None, detail, arc)
-            return verdict, semi, profile
+            return verdict, ref, profile
     detail = ("no plateau at this resolution"
-              if not semi.plateaus else "plateaus present but unconfirmed")
+              if not plateaus else "plateaus present but unconfirmed")
     return (("conjugate-evidence", None, detail + "; scale-limited statement",
-             None), semi, profile)
+             None), ref, profile)

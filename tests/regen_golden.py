@@ -44,6 +44,9 @@ MAPS = {
         ["kind = arnold", "alpha = 0.5", "amplitude = 0.3"], ["budget = 10000"]),
     "denjoy-sqrt2m1-n30": (["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 30"], []),
     "denjoy-sqrt2m1-n50": (["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 50"], []),
+    # every orbit a stage reads, the conjugacy verdict's included, starts at x0
+    "denjoy-sqrt2m1-n50-x0": (
+        ["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 50"], ["x0 = 0.3"]),
     "denjoy-sqrt2m1-n100": (["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 100"], []),
     # the dust-anchor screen fails here: pipelines that read the anchor
     # raise a RuntimeError, the others report

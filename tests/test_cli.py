@@ -9,7 +9,8 @@ from _orbit_reference import orbit_lift_reference
 from conftest import count_lift_in_place
 from denjoylab import (PeriodicOrbitError, birkhoff_estimate,
                        build_semiconjugacy, catalog, cli, conjugacy_verdict,
-                       dynamics, make_denjoy, maps, rotation)
+                       dynamics, make_denjoy, maps, omega_gap_profile,
+                       rotation)
 from denjoylab.cli import (ConfigError, _build_target, _parse_config, main,
                            run_experiment, _sweep_configs)
 from denjoylab.util import frac
@@ -280,10 +281,12 @@ class TestConjugacyPipeline:
         probe = 2 * dynamics.PROBE_STEPS
         assert self._orbit_work(monkeypatch) == ([1000], probe)
 
-    def test_x0_gap_profile_iterates_its_own_orbit(self, monkeypatch):
+    def test_x0_stage_iterates_one_orbit(self, monkeypatch):
+        # x0 replaces the anchor, whose screen never runs: the verdict
+        # iterates the budget from x0 once, then probes the plateau
         probe = 2 * dynamics.PROBE_STEPS
         assert self._orbit_work(monkeypatch, extra="x0 = 0.3") == (
-            [1000, 1000], probe + 1000)
+            [1000], 1000 + probe)
 
     def test_full_criterion_iterates_each_anchor_once(self, monkeypatch):
         probe = 2 * dynamics.PROBE_STEPS
@@ -296,8 +299,7 @@ class TestConjugacyPipeline:
         assert self._orbit_work(monkeypatch, config=CONJ_GOLDEN) == (
             [w, 2000], 2000)
         assert self._orbit_work(monkeypatch, extra="x0 = 0.3",
-                                config=CONJ_GOLDEN) == (
-            [w, 2000, w, 2000], 4000)
+                                config=CONJ_GOLDEN) == ([w, 2000], 2000)
 
     def test_rational_stage_reads_its_profile_at_once(self, monkeypatch):
         # the verdict stops at x_w; the stage reads the profile, which
@@ -306,19 +308,23 @@ class TestConjugacyPipeline:
         assert self._orbit_work(monkeypatch, config=CONJ_LOCKED) == (
             [w, 10_000], 10_000)
         assert self._orbit_work(monkeypatch, extra="x0 = 0.3",
-                                config=CONJ_LOCKED) == (
-            [w, 10_000, w, 10_000], 20_000)
+                                config=CONJ_LOCKED) == ([w, 10_000], 10_000)
 
-    def test_x0_moves_only_the_gap_profile(self):
+    def test_x0_moves_the_whole_block(self):
         text = CONJ_DENJOY.replace("budget = 400", "budget = 400\nx0 = 0.3")
         c = run_experiment(text).per_stage["conjugacy"]
         target, diffeo = _build_target(_parse_config(text))
-        semi = conjugacy_verdict(target, 400).semi
-        assert semi.anchor == target.cantor_anchor != 0.3
+        semi = build_semiconjugacy(diffeo, 0.3, 400)
+        prof = omega_gap_profile(diffeo, 0.3, 400)
         assert c["alpha"] == semi.alpha
         assert c["defect"] == semi.defect
         assert c["plateau_count"] == len(semi.plateaus)
-        assert c["defect"] != build_semiconjugacy(diffeo, 0.3, 400).defect
+        assert c["orbit_verdict"] == prof.verdict
+        assert c["max_gap"] == prof.max_gap
+        # the anchor's orbit reads another defect
+        anchor = conjugacy_verdict(target, 400).semi
+        assert anchor.anchor == target.cantor_anchor != 0.3
+        assert c["defect"] != anchor.defect
 
     def test_rational_rotation_reported(self, tmp_path):
         text = ("[experiment]\npipeline = conjugacy\nbudget = 200\n\n"

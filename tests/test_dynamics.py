@@ -313,15 +313,14 @@ class TestVerdictAgainstTheEagerReference:
         if replace_slot:
             orbit_lift(f, 0.5, 10)
         profile = v.profile
-        want, semi, want_profile = _verdict_reference.conjugacy_verdict(
+        want, ref, want_profile = _verdict_reference.conjugacy_verdict(
             f, budget)
         assert repr((v.kind, v.period, v.detail, v.arc)) == repr(want)
         assert repr(profile) == repr(want_profile)
-        if semi is None:
+        if ref is None:
             assert v.semi is None
         else:
-            assert _fingerprint(v.semi, profile) == _fingerprint(
-                semi, want_profile)
+            assert _same_as_reference(v.semi, profile, ref, want_profile)
 
 
 def _counted(recipe):
@@ -497,9 +496,19 @@ _ARGSORT = np.argsort
 def _fingerprint(semi, profile):
     """Everything the semi-conjugacy and gap profile hold, as reprs and
     array bytes, so a float of another type or bit pattern shows."""
-    return (repr(semi), repr(profile),
+    return (repr(semi), repr(semi.plateaus), repr(profile),
             *(a.tobytes() for a in (semi._domain, semi._target, semi._points,
-                                    semi._knot_targets)))
+                                    semi._knot_targets, semi._plateau_lo,
+                                    semi._plateau_hi, semi._flatness)))
+
+
+def _same_as_reference(semi, profile, ref, ref_profile):
+    """Whether a semi-conjugacy and gap profile give the bits of the
+    reference's (semi-conjugacy, plateaus) pair and profile, the plateaus
+    read against the reference loop's own tuple."""
+    ref_semi, ref_plateaus = ref
+    return (_fingerprint(semi, profile) == _fingerprint(ref_semi, ref_profile)
+            and repr(semi.plateaus) == repr(ref_plateaus))
 
 
 def _semi(orbit, x0, n):
@@ -529,7 +538,7 @@ def _matches_reference(orbit, period, x0, n):
                            functools.partial(_ARGSORT, kind="stable")):
         want = (reference._semiconjugacy(orbit, x0, n),
                 reference._gap_profile(orbit, period, n))
-    return _fingerprint(*got) == _fingerprint(*want)
+    return _same_as_reference(*got, *want)
 
 
 def _reference_run_sums(flat, gaps):
@@ -633,8 +642,29 @@ class TestWholeArrayForm:
         orbit, period, x0, n = _fixed_case(name)
         v = conjugacy_verdict(_fixed_target(name), n)
         assert repr(v.profile) == repr(reference._gap_profile(orbit, period, n))
-        assert _fingerprint(v.semi, v.profile) == _fingerprint(
-            reference._semiconjugacy(orbit, x0, n), v.profile)
+        assert _same_as_reference(v.semi, v.profile,
+                                  reference._semiconjugacy(orbit, x0, n),
+                                  v.profile)
+
+    def test_verdict_probes_longest_first_ties_in_run_order(
+            self, denjoy50, monkeypatch):
+        # every probe overlaps, so the verdict probes all 11 plateaus of
+        # the anchor orbit; two of them have the same length
+        probed = []
+
+        def overlapping(diffeo, arc, n):
+            probed.append(arc)
+            return dynamics.WanderingVerdict("overlap-at", pair=(0, 1))
+
+        monkeypatch.setattr(dynamics, "wandering_verdict", overlapping)
+        v = conjugacy_verdict(denjoy50, 1000)
+        assert v.kind == "conjugate-evidence"
+        ranked = [arc for arc, _ in sorted(v.semi.plateaus,
+                                           key=lambda p: -p[0].length)]
+        assert len({arc.length for arc in ranked}) == len(ranked) - 1
+        assert probed == [
+            Arc(a.start + 0.25 * a.length, a.start + 0.75 * a.length)
+            for a in ranked]
 
     def test_fixed_cases_hold_the_runs_they_name(self):
         orbit, _, x0, n = _fixed_case("arnold-0.3-0.3")
