@@ -88,7 +88,8 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
     ``frac`` gives 0.0), so F(x + 1) = F(x) + 1 exactly.  A scalar takes
     ``math`` on a plain float, repeating the array arithmetic bit for bit;
     a NaN or infinite one raises from ``math.floor``; an array gives NaN.
-    ``lift.orbit`` runs that float path in one loop for ``maps.orbit_lift``.
+    ``lift.orbit`` runs that float path for ``maps.orbit_lift`` into a
+    float64 array; an amplitude-0 orbit is one ordered accumulate.
     """
     kind = recipe["kind"]
     alpha = float(recipe["alpha"])
@@ -118,12 +119,26 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
         return x + (alpha + scale * math.sin(TWO_PI * (x - math.floor(x))))
 
     def orbit(z, n):
-        """F(z), ..., F^n(z) for a float z, by the float path above."""
-        out = []
-        append, floor, sin, two_pi = out.append, math.floor, math.sin, TWO_PI
-        for _ in range(n):
-            z = z + (alpha + scale * sin(two_pi * (z - floor(z))))
-            append(z)
+        """F(z), ..., F^n(z) for a float z, by the float path above, as a
+        float64 array.  At scale 0 the sine term adds a signed zero, so
+        each step is z + alpha: one ordered accumulate gives the loop's
+        bits, and the orbit is monotone, so flooring its first and its
+        last start raises where the loop's floors would."""
+        a, s, floor = alpha, scale, math.floor
+        if s == 0.0:
+            out = np.full(n + 1, a)
+            out[0] = z
+            if n:
+                floor(z)
+                with np.errstate(over="ignore"):
+                    np.add.accumulate(out, out=out)
+                floor(out[n - 1])
+            return out[1:]
+        out = np.empty(n)
+        view, sin, two_pi = memoryview(out), math.sin, TWO_PI
+        for i in range(n):
+            z = z + (a + s * sin(two_pi * (z - floor(z))))
+            view[i] = z
         return out
 
     lift.orbit = orbit

@@ -257,7 +257,7 @@ def _stage_conjugacy(report, target, diffeo, x0, cfg):
         "max_gap": prof.max_gap,
     }
     if verdict.semi is not None:
-        metrics["plateau_count"] = len(verdict.semi.plateaus)
+        metrics["plateau_count"] = verdict.semi.plateau_count
         metrics["defect"] = verdict.semi.defect
         metrics["alpha"] = verdict.semi.alpha
     report.per_stage["conjugacy"] = metrics

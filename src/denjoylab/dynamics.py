@@ -110,6 +110,11 @@ class SemiConjugacy:
             self._plateau_lo.tolist(), self._plateau_hi.tolist(),
             self._flatness.tolist()))
 
+    @property
+    def plateau_count(self) -> int:
+        """len(plateaus), read off the arrays without building an Arc."""
+        return self._plateau_lo.size
+
     def interpolant(self, x):
         """Evaluate the piecewise-linear lift h with h(x+1) = h(x) + 1."""
         out = _interp_lift(self._domain, self._target, np.asarray(x, dtype=float))

@@ -97,9 +97,10 @@ class CircleDiffeo:
         lift_eval: the lift F, accepting floats or numpy arrays.  It must be
             pure: the same float always gives the same float, because
             ``orbit_lift`` hands out stored orbits of the same map object.
-            It may carry ``orbit(z, n)``, a pure function giving the floats
-            F(z), ..., F^n(z) by the scalar path's arithmetic, for
-            ``orbit_lift``; a wrapper or replacement of it drops ``orbit``.
+            It may carry ``orbit(z, n)``, a pure function giving F(z), ...,
+            F^n(z) as a float64 array of n values, bit for bit the scalar
+            path's floats and raising where it raises, for ``orbit_lift``;
+            a wrapper or replacement of it drops ``orbit``.
         lift_derivative: F' when the map is C1, else None.
         label: human-readable tag used in reports.
         lift_inverse: a closed-form F^{-1} on floats, or None to let
@@ -155,7 +156,8 @@ def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
     last point, so the result is bit for bit the orbit a fresh loop gives.
     Each call returns a new array; the slot is replaced, never changed in
     place, so a caller, or another thread, cannot alter a stored orbit.
-    Steps run in ``lift_eval.orbit`` if set (rigid, Arnold), else one lift call each.
+    Steps run in ``lift_eval.orbit`` if set (rigid, Arnold), else one lift
+    call each, stored straight into a float64 buffer.
     The first read of a Denjoy map's ``cantor_anchor`` fills the slot with
     the orbit it screened for that anchor, so the next call on the map's
     ``base`` from ``cantor_anchor`` iterates only past ``anchor_budget`` +
@@ -176,11 +178,11 @@ def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
         if kernel is not None:
             tail = kernel(z, n + 1 - orbit.size)
         else:
-            tail = []
-            append = tail.append
-            for _ in range(n + 1 - orbit.size):
+            tail = np.empty(n + 1 - orbit.size)
+            view = memoryview(tail)
+            for i in range(tail.size):
                 z = float(lift(z))
-                append(z)
+                view[i] = z
         orbit = np.concatenate([orbit, tail])
         _last_orbit = (weakref.ref(diffeo), start, orbit)
     return orbit[:n + 1].copy()

@@ -1,6 +1,7 @@
 """Built-in maps and example functions."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -422,7 +423,72 @@ def test_wrapped_lift_falls_back_to_one_call_per_step(f, x0, n):
 def test_catalog_lifts_carry_the_orbit_kernel(kind):
     f = make_map({"kind": kind, "alpha": 0.3, "amplitude": 0.5})
     assert callable(getattr(f.lift_eval, "orbit", None))
-    assert f.lift_eval.orbit(0.25, 0) == []
+    empty = f.lift_eval.orbit(0.25, 0)
+    assert type(empty) is np.ndarray and empty.dtype == np.float64
+    assert empty.shape == (0,)
+
+
+#: amplitude-0 catalog maps, whose orbit kernel is one ordered accumulate;
+#: alpha = +-0.0 checks the signs where a zero z meets a zero step
+FLAT_RECIPES = [{"kind": kind, "alpha": alpha, "amplitude": 0.0}
+                for kind in ("rigid", "arnold")
+                for alpha in (-2.5, -0.0, 0.0, 0.3, 37.25)]
+
+
+def _kernel_matches_reference(kernel, f, n):
+    """The kernel's n steps from every edge start have the bits of the
+    one-call-per-step reference loop on f, in a float64 array."""
+    for x0 in ORBIT_EDGE_STARTS:
+        got = kernel(x0, n)
+        ref = orbit_lift_reference(f, x0, n)[1:]
+        if not (got.dtype == np.float64
+                and np.array_equal(got.view(np.int64), ref.view(np.int64))):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10_000])
+@pytest.mark.parametrize("recipe", FLAT_RECIPES,
+                         ids=lambda r: f"{r['kind']}-{r['alpha']}")
+def test_amplitude_zero_kernel_matches_the_reference_loop(recipe, n):
+    f = make_map(recipe)
+    assert _kernel_matches_reference(f.lift_eval.orbit, f, n)
+    assert _kernel_matches_reference(lambda z, n: orbit_lift(f, z, n)[1:], f, n)
+
+
+def test_product_form_fails_the_amplitude_zero_check():
+    # z + alpha * k rounds once, the loop once per step
+    f = make_map({"kind": "rigid", "alpha": 0.3})
+    assert not _kernel_matches_reference(
+        lambda z, n: z + 0.3 * np.arange(1, n + 1), f, 10_000)
+
+
+@pytest.mark.parametrize("kind", ["rigid", "arnold"])
+def test_amplitude_zero_kernel_raises_where_the_loop_raises(kind):
+    kernel = make_map({"kind": kind, "alpha": 0.3, "amplitude": 0.0}).lift_eval.orbit
+    with pytest.raises(ValueError):
+        kernel(math.nan, 3)
+    for x0 in (math.inf, -math.inf):
+        with pytest.raises(OverflowError):
+            kernel(x0, 3)
+    for x0 in (math.nan, math.inf, -math.inf):
+        assert kernel(x0, 0).shape == (0,)
+    # z_2 = +-inf: the loop floors z_0 .. z_(n-1), so it returns at n = 2
+    # and raises from n = 3 on, without a numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1e308, -1e308):
+            f = make_map({"kind": kind, "alpha": alpha, "amplitude": 0.0})
+            kernel = f.lift_eval.orbit
+            for n in (1, 2):
+                ref = orbit_lift_reference(f, 0.0, n)[1:]
+                assert np.array_equal(kernel(0.0, n), ref)
+            assert kernel(0.0, 2)[-1] == math.copysign(math.inf, alpha)
+            for n in (3, 4, 100):
+                with pytest.raises(OverflowError):
+                    orbit_lift_reference(f, 0.0, n)
+                with pytest.raises(OverflowError):
+                    kernel(0.0, n)
 
 
 @pytest.mark.parametrize("kind", ["rigid", "arnold"])

@@ -666,6 +666,13 @@ class TestWholeArrayForm:
             Arc(a.start + 0.25 * a.length, a.start + 0.75 * a.length)
             for a in ranked]
 
+    @pytest.mark.parametrize("name", FIXED_CASES)
+    def test_plateau_count_reads_the_arrays(self, name):
+        orbit, _, x0, n = _fixed_case(name)
+        semi = _semi(orbit, x0, n)
+        assert type(semi.plateau_count) is int
+        assert semi.plateau_count == len(semi.plateaus) > 0
+
     def test_fixed_cases_hold_the_runs_they_name(self):
         orbit, _, x0, n = _fixed_case("arnold-0.3-0.3")
         assert len(_semi(orbit, x0, n).plateaus) == 575
