@@ -88,8 +88,8 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
     ``frac`` gives 0.0), so F(x + 1) = F(x) + 1 exactly.  A scalar takes
     ``math`` on a plain float, repeating the array arithmetic bit for bit;
     a NaN or infinite one raises from ``math.floor``; an array gives NaN.
-    ``lift.orbit`` runs that float path for ``maps.orbit_lift`` into a
-    float64 array; an amplitude-0 orbit is one ordered accumulate.
+    ``lift.orbit(buf)`` fills buf[1:] from buf[0] in place by that float
+    path, for ``maps.orbit_lift``; at amplitude 0, by one ordered accumulate.
     """
     kind = recipe["kind"]
     alpha = float(recipe["alpha"])
@@ -118,28 +118,24 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
             x = float(x)
         return x + (alpha + scale * math.sin(TWO_PI * (x - math.floor(x))))
 
-    def orbit(z, n):
-        """F(z), ..., F^n(z) for a float z, by the float path above, as a
-        float64 array.  At scale 0 the sine term adds a signed zero, so
-        each step is z + alpha: one ordered accumulate gives the loop's
+    def orbit(buf):
+        """Fill buf[1:] with F(z), F^2(z), ... for z = buf[0], by the float
+        path above, in place.  At scale 0 the sine term adds a signed zero,
+        so each step is z + alpha: one ordered accumulate gives the loop's
         bits, and the orbit is monotone, so flooring its first and its
         last start raises where the loop's floors would."""
-        a, s, floor = alpha, scale, math.floor
-        if s == 0.0:
-            out = np.full(n + 1, a)
-            out[0] = z
-            if n:
-                floor(z)
-                with np.errstate(over="ignore"):
-                    np.add.accumulate(out, out=out)
-                floor(out[n - 1])
-            return out[1:]
-        out = np.empty(n)
-        view, sin, two_pi = memoryview(out), math.sin, TWO_PI
-        for i in range(n):
+        a, s, floor, n = alpha, scale, math.floor, buf.size - 1
+        if s == 0.0 and n:
+            floor(buf[0])
+            buf[1:] = a
+            with np.errstate(over="ignore"):
+                np.add.accumulate(buf, out=buf)
+            floor(buf[n - 1])
+            return
+        view, z, sin, two_pi = memoryview(buf), float(buf[0]), math.sin, TWO_PI
+        for i in range(1, n + 1):
             z = z + (a + s * sin(two_pi * (z - floor(z))))
             view[i] = z
-        return out
 
     lift.orbit = orbit
 
@@ -210,7 +206,8 @@ class DenjoyMap:
 
 def _profile_ratio_guard(ratios: np.ndarray) -> None:
     worst = float(ratios.min())
-    if worst <= MIN_PIECE_RATIO:
+    # not worst <= ...: a NaN ratio must fail
+    if not worst > MIN_PIECE_RATIO:
         raise ValueError(
             f"piece length ratio {worst:.4g} too small for a positive "
             "quadratic derivative profile; loosen the parameters")
@@ -310,6 +307,10 @@ def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
         raise ValueError("image tiling degenerate; parameters too extreme")
 
     src_lens = np.diff(src_knots)
+    # a mass near 0 rounds insertions to length 0, which the ratios divide by
+    if not float(src_lens.min()) > 0.0:
+        raise ValueError(f"a source piece rounds to length 0 at mass "
+                         f"{mass!r}; parameters too extreme")
     ratios = img_lens / src_lens
     _profile_ratio_guard(ratios)
     img_knots = float(img_start[0]) + np.concatenate([[0.0], np.cumsum(img_lens)])

@@ -79,11 +79,11 @@ MAX_DEPTH = 19
 #: largest [experiment] function_depth: a layer of an example function
 #: deeper than the finest grid at MAX_DEPTH is zero on every grid point
 MAX_FUNCTION_DEPTH = MAX_DEPTH + 6
-#: largest [experiment] n and budget: an orbit is an n-element list, and
-#: a run at 10^6 peaks near 140 MiB
+#: largest [experiment] n and budget: an orbit is one array of n + 1
+#: floats, and a run at 10^6 peaks near 131 MiB
 MAX_ORBIT = 10 ** 6
 #: largest [map] N: make_denjoy builds arrays of 2N + 1 floats and their
-#: list copies, and a run at 10^5 peaks near 185 MiB
+#: list copies, and a run at 10^5 peaks near 181 MiB
 MAX_N = 10 ** 5
 #: [experiment] key -> the largest value a config may set; a combinatorics
 #: count up to PERIOD_WINDOW lets the period test compare every lag

@@ -33,7 +33,8 @@ class CollapsedArcError(DenjoyLabError, ValueError):
 
 
 class FloatRangeError(DenjoyLabError, OverflowError):
-    """A constant the caller asked for lies past the range of floats."""
+    """A constant the caller asked for, or a lift orbit, lies past the
+    range of floats."""
 
 
 class OverlappingArcsError(DenjoyLabError, ValueError):

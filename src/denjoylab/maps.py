@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CollapsedArcError, RootFindError
+from .errors import CollapsedArcError, FloatRangeError, RootFindError
 from .util import adaptive_simpson, solve_increasing
 
 #: default grid size for lift validation
@@ -97,8 +97,8 @@ class CircleDiffeo:
         lift_eval: the lift F, accepting floats or numpy arrays.  It must be
             pure: the same float always gives the same float, because
             ``orbit_lift`` hands out stored orbits of the same map object.
-            It may carry ``orbit(z, n)``, a pure function giving F(z), ...,
-            F^n(z) as a float64 array of n values, bit for bit the scalar
+            It may carry ``orbit(buf)``, filling buf[1:] of a float64 array
+            in place with F(buf[0]), F^2(buf[0]), ..., bit for bit the scalar
             path's floats and raising where it raises, for ``orbit_lift``;
             a wrapper or replacement of it drops ``orbit``.
         lift_derivative: F' when the map is C1, else None.
@@ -145,7 +145,7 @@ _last_orbit = (None, 0.0, np.empty(0))
 
 
 def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
-    """Lift orbit [x0, F(x0), ..., F^n(x0)] as one array.
+    """Lift orbit [x0, F(x0), ..., F^n(x0)] as a read-only array.
 
     The last orbit iterated is kept in one slot, keyed on the map object
     (held by a weak reference, so a new map at a freed address never
@@ -154,10 +154,11 @@ def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
     start reads its points from the slot and iterates only the steps past
     its end, then keeps the longer orbit.  The loop's only state is the
     last point, so the result is bit for bit the orbit a fresh loop gives.
-    Each call returns a new array; the slot is replaced, never changed in
-    place, so a caller, or another thread, cannot alter a stored orbit.
-    Steps run in ``lift_eval.orbit`` if set (rigid, Arnold), else one lift
-    call each, stored straight into a float64 buffer.
+    A longer orbit goes into a new buffer of n + 1 floats, the stored
+    prefix copied in and the rest filled in place by ``lift_eval.orbit`` if
+    set (rigid, Arnold), else by one lift call per step.  A stored buffer
+    is never written again; a call returns a read-only view, which keeps
+    all of it alive.  FloatRangeError if the orbit leaves the float range.
     The first read of a Denjoy map's ``cantor_anchor`` fills the slot with
     the orbit it screened for that anchor, so the next call on the map's
     ``base`` from ``cantor_anchor`` iterates only past ``anchor_budget`` +
@@ -172,28 +173,35 @@ def orbit_lift(diffeo: CircleDiffeo, x0: float, n: int) -> np.ndarray:
             and math.copysign(1.0, last_start) == math.copysign(1.0, start)):
         orbit = np.array([start])
     if n >= orbit.size:
+        orbit, prefix = np.empty(n + 1), orbit
+        orbit[:prefix.size] = prefix
         lift = diffeo.lift_eval
-        z = float(orbit[-1])
-        kernel = getattr(lift, "orbit", None)
-        if kernel is not None:
-            tail = kernel(z, n + 1 - orbit.size)
-        else:
-            tail = np.empty(n + 1 - orbit.size)
-            view = memoryview(tail)
-            for i in range(tail.size):
-                z = float(lift(z))
-                view[i] = z
-        orbit = np.concatenate([orbit, tail])
+        fill = getattr(lift, "orbit", None)
+        try:
+            if fill is not None:
+                fill(orbit[prefix.size - 1:])
+            else:
+                view = memoryview(orbit)
+                z = view[prefix.size - 1]
+                for i in range(prefix.size, n + 1):
+                    z = float(lift(z))
+                    view[i] = z
+        except OverflowError as err:
+            raise FloatRangeError(f"the lift orbit of {start!r} leaves the "
+                                  f"float range within {n} steps") from err
         _last_orbit = (weakref.ref(diffeo), start, orbit)
-    return orbit[:n + 1].copy()
+    orbit.flags.writeable = False
+    return orbit[:n + 1]
 
 
 def _store_orbit(diffeo: CircleDiffeo, orbit: list[float]) -> None:
     """Put a lift orbit [x0, F(x0), ...] of the map, iterated with the
     scalar arithmetic of its ``lift_eval``, in ``orbit_lift``'s slot,
-    keyed on the map object and on x0 = orbit[0]."""
+    read-only, keyed on the map object and on x0 = orbit[0]."""
     global _last_orbit
-    _last_orbit = (weakref.ref(diffeo), orbit[0], np.array(orbit))
+    stored = np.array(orbit)
+    stored.flags.writeable = False
+    _last_orbit = (weakref.ref(diffeo), orbit[0], stored)
 
 
 def arc_image(diffeo: CircleDiffeo, arc: Arc) -> Arc:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from denjoylab import (Arc, CATALOG_ENTRIES, NonMonotoneMapError, catalog,
-                       example_function, inverse_eval, make_denjoy, make_map,
-                       orbit_lift, takagi_total_variation, validate_lift)
+from denjoylab import (Arc, CATALOG_ENTRIES, FloatRangeError,
+                       NonMonotoneMapError, catalog, example_function,
+                       inverse_eval, make_denjoy, make_map, orbit_lift,
+                       takagi_total_variation, validate_lift)
 from denjoylab.util import frac
 
 from _denjoy_reference import find_dust_anchor, former_kernels, piece_table
@@ -19,6 +20,7 @@ from conftest import (accepted_denjoy, accepted_denjoy_parameters, anchored_denj
                       anchored_denjoy_parameters, counting_lift, smooth_map)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SQRT2_M1 = math.sqrt(2.0) - 1.0
 
 
 class TestMakeMap:
@@ -109,6 +111,34 @@ class TestDenjoy:
     def test_mass_must_leave_room(self):
         with pytest.raises(ValueError):
             make_denjoy(GOLDEN, N=10, mass=1.0)
+
+    @pytest.mark.parametrize("N", [10, 50, 100])
+    @pytest.mark.parametrize("mass", [1e-300, 1e-20, 1e-14])
+    def test_mass_whose_insertions_vanish_rejected(self, N, mass):
+        """Insertions that round to length 0 fail before the piece ratios
+        divide by them, with no numpy warning; at N = 10 the insertions
+        of mass 1e-14 keep their length."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if (N, mass) == (10, 1e-14):
+                make_denjoy(SQRT2_M1, N=N, mass=mass)
+                return
+            with pytest.raises(ValueError, match="rounds to length 0 at mass"):
+                make_denjoy(SQRT2_M1, N=N, mass=mass)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.02, 0.98), st.integers(10, 120), st.floats(0.02, 0.95))
+    def test_property_masses_keep_their_pieces(self, alpha, N, mass):
+        """The range accepted_denjoy draws from never meets the check."""
+        try:
+            make_denjoy(alpha, N=N, mass=mass)
+        except ValueError as err:
+            assert "length 0" not in str(err)
+
+    def test_nan_piece_ratio_fails_the_guard(self):
+        for ratios in ([1.0, math.nan], [math.nan, math.nan]):
+            with pytest.raises(ValueError, match="piece length ratio nan"):
+                catalog._profile_ratio_guard(np.array(ratios))
 
     def test_golden_mean_finds_no_dust_anchor(self):
         # a known defect, pinned at N = 30 by the golden reports; the
@@ -419,13 +449,32 @@ def test_wrapped_lift_falls_back_to_one_call_per_step(f, x0, n):
     assert len(calls) == n and all(type(x) is float for x in calls)
 
 
+def _kernel_orbit(kernel, x0, n):
+    """A buffer of n + 1 floats that the kernel filled from buf[0] = x0."""
+    buf = np.empty(n + 1)
+    buf[0] = x0
+    kernel(buf)
+    return buf
+
+
+def _filled_by(steps):
+    """An orbit(buf) kernel that fills buf[1:] with steps(buf[0], n)."""
+    def kernel(buf):
+        buf[1:] = steps(float(buf[0]), buf.size - 1)
+    return kernel
+
+
 @pytest.mark.parametrize("kind", ["rigid", "arnold"])
 def test_catalog_lifts_carry_the_orbit_kernel(kind):
     f = make_map({"kind": kind, "alpha": 0.3, "amplitude": 0.5})
-    assert callable(getattr(f.lift_eval, "orbit", None))
-    empty = f.lift_eval.orbit(0.25, 0)
-    assert type(empty) is np.ndarray and empty.dtype == np.float64
-    assert empty.shape == (0,)
+    kernel = getattr(f.lift_eval, "orbit", None)
+    assert callable(kernel)
+    one = np.array([0.25])
+    assert kernel(one) is None and one.tolist() == [0.25]
+    buf = np.array([0.25, math.nan, math.nan])
+    assert kernel(buf) is None
+    z1 = f.lift_eval(0.25)
+    assert buf.tolist() == [0.25, z1, f.lift_eval(z1)]
 
 
 #: amplitude-0 catalog maps, whose orbit kernel is one ordered accumulate;
@@ -436,13 +485,12 @@ FLAT_RECIPES = [{"kind": kind, "alpha": alpha, "amplitude": 0.0}
 
 
 def _kernel_matches_reference(kernel, f, n):
-    """The kernel's n steps from every edge start have the bits of the
-    one-call-per-step reference loop on f, in a float64 array."""
+    """The kernel fills n + 1 floats from every edge start with the bits
+    of the one-call-per-step reference loop on f, the start kept."""
     for x0 in ORBIT_EDGE_STARTS:
-        got = kernel(x0, n)
-        ref = orbit_lift_reference(f, x0, n)[1:]
-        if not (got.dtype == np.float64
-                and np.array_equal(got.view(np.int64), ref.view(np.int64))):
+        got = _kernel_orbit(kernel, x0, n)
+        ref = orbit_lift_reference(f, x0, n)
+        if not np.array_equal(got.view(np.int64), ref.view(np.int64)):
             return False
     return True
 
@@ -453,42 +501,47 @@ def _kernel_matches_reference(kernel, f, n):
 def test_amplitude_zero_kernel_matches_the_reference_loop(recipe, n):
     f = make_map(recipe)
     assert _kernel_matches_reference(f.lift_eval.orbit, f, n)
-    assert _kernel_matches_reference(lambda z, n: orbit_lift(f, z, n)[1:], f, n)
+    assert _kernel_matches_reference(
+        _filled_by(lambda z, n: orbit_lift(f, z, n)[1:]), f, n)
 
 
 def test_product_form_fails_the_amplitude_zero_check():
     # z + alpha * k rounds once, the loop once per step
     f = make_map({"kind": "rigid", "alpha": 0.3})
     assert not _kernel_matches_reference(
-        lambda z, n: z + 0.3 * np.arange(1, n + 1), f, 10_000)
+        _filled_by(lambda z, n: z + 0.3 * np.arange(1, n + 1)), f, 10_000)
 
 
 @pytest.mark.parametrize("kind", ["rigid", "arnold"])
 def test_amplitude_zero_kernel_raises_where_the_loop_raises(kind):
     kernel = make_map({"kind": kind, "alpha": 0.3, "amplitude": 0.0}).lift_eval.orbit
     with pytest.raises(ValueError):
-        kernel(math.nan, 3)
+        _kernel_orbit(kernel, math.nan, 3)
     for x0 in (math.inf, -math.inf):
         with pytest.raises(OverflowError):
-            kernel(x0, 3)
+            _kernel_orbit(kernel, x0, 3)
     for x0 in (math.nan, math.inf, -math.inf):
-        assert kernel(x0, 0).shape == (0,)
+        assert np.array_equal(_kernel_orbit(kernel, x0, 0), [x0], equal_nan=True)
     # z_2 = +-inf: the loop floors z_0 .. z_(n-1), so it returns at n = 2
-    # and raises from n = 3 on, without a numpy overflow warning
+    # and raises from n = 3 on, without a numpy overflow warning; the
+    # kernel raises the loop's plain OverflowError, and orbit_lift names it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for alpha in (1e308, -1e308):
             f = make_map({"kind": kind, "alpha": alpha, "amplitude": 0.0})
             kernel = f.lift_eval.orbit
             for n in (1, 2):
-                ref = orbit_lift_reference(f, 0.0, n)[1:]
-                assert np.array_equal(kernel(0.0, n), ref)
-            assert kernel(0.0, 2)[-1] == math.copysign(math.inf, alpha)
+                ref = orbit_lift_reference(f, 0.0, n)
+                assert np.array_equal(_kernel_orbit(kernel, 0.0, n), ref)
+            assert _kernel_orbit(kernel, 0.0, 2)[-1] == math.copysign(math.inf, alpha)
             for n in (3, 4, 100):
                 with pytest.raises(OverflowError):
                     orbit_lift_reference(f, 0.0, n)
-                with pytest.raises(OverflowError):
-                    kernel(0.0, n)
+                with pytest.raises(OverflowError) as err:
+                    _kernel_orbit(kernel, 0.0, n)
+                assert type(err.value) is OverflowError
+                with pytest.raises(FloatRangeError, match=f"of 0.0 .* {n} steps"):
+                    orbit_lift(f, 0.0, n)
 
 
 @pytest.mark.parametrize("kind", ["rigid", "arnold"])

@@ -1,6 +1,7 @@
 """The denjoy-lab command: configs, pipelines, reports and sweeps."""
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -623,6 +624,31 @@ class TestConfigErrors:
         rc, _ = _run(tmp_path, ROT)
         assert rc == 1
         assert capsys.readouterr().err.startswith("experiment aborted")
+
+    @pytest.mark.parametrize("pipeline, map_keys", [
+        ("rotation", "kind = rigid\nalpha = 1e308"),
+        ("conjugacy", "kind = arnold\nalpha = 1e308\namplitude = 0.5")])
+    def test_orbit_leaving_the_float_range_exits_one(self, tmp_path, capsys,
+                                                     pipeline, map_keys):
+        """x_2 passes the largest float: a runtime outcome of a
+        well-formed config, so exit 1 with one line."""
+        text = f"[experiment]\npipeline = {pipeline}\n\n[map]\n{map_keys}\n"
+        rc, _ = _run(tmp_path, text)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"experiment failed: the lift orbit of {dynamics.DEFAULT_ANCHOR!r} "
+            "leaves the float range within 1000 steps\n")
+
+    def test_mass_whose_insertions_vanish_exits_two(self, tmp_path, capsys):
+        text = ("[experiment]\npipeline = rotation\n\n[map]\nkind = denjoy\n"
+                "alpha = 0.41421356237309515\nN = 50\nmass = 1e-300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _ = _run(tmp_path, text)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error in [map]: a source piece rounds to length 0 at "
+            "mass 1e-300; parameters too extreme\n")
 
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

@@ -1,6 +1,7 @@
 """Arcs, lifts, inversion, iteration and composition."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,12 +241,56 @@ def _bits(a):
 def test_orbit_lift_slot_matches_the_former_loop(denjoy50, calls):
     """Interleaved calls on an Arnold and a Denjoy map, hitting the stored
     orbit with prefixes and resumes, give the fresh loop's bits, and a
-    caller that writes into a returned orbit changes no later one."""
+    caller cannot write into a returned orbit, nor make it writeable."""
     maps = (ORBIT_MAP, denjoy50.base)
     for which, x0, n in calls:
         got = orbit_lift(maps[which], x0, n)
         assert np.array_equal(_bits(got), _bits(orbit_lift_reference(maps[which], x0, n)))
-        got[:] = math.nan
+        with pytest.raises(ValueError, match="read-only"):
+            got[:] = math.nan
+        with pytest.raises(ValueError):
+            got.flags.writeable = True
+
+
+def _wrapped(f):
+    """f under a lift wrapper, which drops the orbit kernel."""
+    return dataclasses.replace(f, lift_eval=lambda x: f.lift_eval(x))
+
+
+#: map builders for both ways orbit_lift fills an orbit: the kernel of a
+#: rigid and an Arnold map, and one lift call per step on a wrapped lift
+ORBIT_BUILDS = {"rigid": lambda: make_map({"kind": "rigid", "alpha": 0.618}),
+                "arnold": lambda: _arnold(0.3, 0.3),
+                "wrapped-arnold": lambda: _wrapped(_arnold(0.3, 0.3))}
+
+
+@pytest.mark.parametrize("build", ORBIT_BUILDS.values(), ids=ORBIT_BUILDS.keys())
+def test_fresh_orbit_is_one_buffer(build):
+    """A fresh orbit is iterated into the one buffer the slot keeps and
+    returned as a view of it: its traced peak and what it holds after
+    the call both stay near n + 1 floats."""
+    f, n = build(), 100_000
+    tracemalloc.start()
+    try:
+        got = orbit_lift(f, 0.1, n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = 8 * (n + 1)
+    assert got.size == n + 1
+    assert size <= held <= 1.2 * size
+    assert peak <= 1.2 * size
+
+
+@pytest.mark.parametrize("build", ORBIT_BUILDS.values(), ids=ORBIT_BUILDS.keys())
+def test_extending_a_stored_orbit_leaves_the_old_view(build):
+    f = build()
+    short = orbit_lift(f, 0.1, 50_000)
+    before = short.tobytes()
+    extended = orbit_lift(f, 0.1, 100_000)
+    assert short.tobytes() == before
+    assert extended.tobytes() == orbit_lift(build(), 0.1, 100_000).tobytes()
+    assert extended.tobytes()[:len(before)] == before
 
 
 def test_arc_image_of_rotation_is_translation():
