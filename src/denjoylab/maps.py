@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CollapsedArcError, FloatRangeError, RootFindError
-from .util import adaptive_simpson, solve_increasing
+from .util import _simpson_cell, solve_increasing
 
 #: default grid size for lift validation
 VALIDATE_GRID = 10_000
@@ -101,7 +101,8 @@ class CircleDiffeo:
             in place with F(buf[0]), F^2(buf[0]), ..., bit for bit the scalar
             path's floats and raising where it raises, for ``orbit_lift``;
             a wrapper or replacement of it drops ``orbit``.
-        lift_derivative: F' when the map is C1, else None.
+        lift_derivative: F' when the map is C1, else None; on a float it
+            gives a float64 value (a float, an ``np.float64`` or a 0-d array).
         label: human-readable tag used in reports.
         lift_inverse: a closed-form F^{-1} on floats, or None to let
             ``inverse_eval`` solve F(x) = y with ``util.solve_increasing``.
@@ -247,11 +248,13 @@ def validate_lift(diffeo: CircleDiffeo,
                   grid_size: int = VALIDATE_GRID) -> LiftValidationReport:
     """Check periodicity, monotonicity and derivative consistency on a grid.
 
-    The derivative/increment check integrates F' over each grid cell with
-    adaptive Simpson to ``VALIDATE_QUAD_TOL`` and compares against
+    The derivative/increment check integrates F' (called once per knot) over
+    each cell with adaptive Simpson to ``VALIDATE_QUAD_TOL`` and compares with
     F(b) - F(a); it is skipped when the map carries no derivative.  A NaN
     integral on any cell makes the increment defect NaN, which fails.
     """
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size!r}")
     xs = np.linspace(0.0, 1.0, grid_size + 1)
     fx = np.asarray(diffeo.lift_eval(xs), dtype=float)
     fx1 = np.asarray(diffeo.lift_eval(xs + 1.0), dtype=float)
@@ -267,9 +270,11 @@ def validate_lift(diffeo: CircleDiffeo,
         dx = np.asarray(diffeo.lift_derivative(xs), dtype=float)
         derivative_min = float(np.min(dx))
         deriv = diffeo.lift_derivative
-        defects = [abs(adaptive_simpson(lambda t: float(deriv(t)), float(a), float(b),
-                                         tol=VALIDATE_QUAD_TOL) - float(df))
-                   for a, b, df in zip(xs[:-1], xs[1:], increments)]
+        knots = xs.tolist()
+        ends = [deriv(t) for t in knots]
+        defects = [abs(_simpson_cell(deriv, a, b, fa, fb, VALIDATE_QUAD_TOL) - df)
+                   for a, b, fa, fb, df in zip(knots, knots[1:], ends, ends[1:],
+                                               increments.tolist())]
         # np.max, not max(): a NaN defect must propagate and fail the check
         increment_defect = float(np.max(defects))
 

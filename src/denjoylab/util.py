@@ -89,26 +89,27 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     ends the split too: refining could not clear it, so the NaN is
     returned at once instead of after 2**SIMPSON_MAX_DEPTH cells.
     """
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
+    return _simpson_cell(f, a, b, f(a), f(b), tol)
 
-    def _whole(lo, hi, flo, fhi, fmid):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
-    def _rec(lo, hi, flo, fhi, fmid, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = f(lm), f(rm)
-        left = _whole(lo, mid, flo, fmid, flm)
-        right = _whole(mid, hi, fmid, fhi, frm)
-        corr = left + right - whole
-        if depth >= SIMPSON_MAX_DEPTH or abs(corr) <= 15.0 * eps or corr != corr:
-            return left + right + corr / 15.0
-        return (_rec(lo, mid, flo, fmid, flm, left, eps / 2.0, depth + 1)
-                + _rec(mid, hi, fmid, fhi, frm, right, eps / 2.0, depth + 1))
+def _simpson_cell(f, a, b, fa, fb, tol):
+    """``adaptive_simpson`` given fa = f(a) and fb = f(b), so that adjacent
+    cells evaluate their shared end once."""
+    fm = f(0.5 * (a + b))
+    return _simpson_split(f, a, b, fa, fb, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)
 
-    return _rec(a, b, fa, fb, fm, _whole(a, b, fa, fb, fm), tol, 0)
+
+def _simpson_split(f, lo, hi, flo, fhi, fmid, whole, eps, depth):
+    mid = 0.5 * (lo + hi)
+    lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+    flm, frm = f(lm), f(rm)
+    left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+    right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+    corr = left + right - whole
+    if depth >= SIMPSON_MAX_DEPTH or abs(corr) <= 15.0 * eps or corr != corr:
+        return left + right + corr / 15.0
+    return (_simpson_split(f, lo, mid, flo, fmid, flm, left, eps / 2.0, depth + 1)
+            + _simpson_split(f, mid, hi, fmid, fhi, frm, right, eps / 2.0, depth + 1))
 
 
 def dyadic_grid(lo: float, hi: float, depth: int) -> np.ndarray:

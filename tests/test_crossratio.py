@@ -12,10 +12,12 @@ from denjoylab import (Arc, CircleDiffeo, DegenerateTupleError, FourTuple,
                        crd_variation_estimate, cross_ratios, decompose_ab,
                        interval_orbit, iterate_distortion_bound,
                        koebe_log_ratio, make_map, term_b_constant)
-from denjoylab.crossratio import CRD_BATCH_POINTS
+from denjoylab.crossratio import CRD_BATCH_POINTS, QUAD_TOL
+from denjoylab.variation import log_derivative_function
 
 from _crd_reference import crd_variation_reference
 from _oracles import compose, delta_and_bound, log_cr_first_quadrature
+from _simpson_reference import adaptive_simpson_reference
 from conftest import accepted_denjoy, count_lift_in_place
 
 TWO_MINUS_TWO_LOG2 = 2.0 * (1.0 - math.log(2.0))
@@ -114,6 +116,18 @@ class TestDecomposition:
     def test_requires_order(self, golden_rotation):
         with pytest.raises(ValueError, match="need x < y"):
             decompose_ab(golden_rotation, 0.7, 0.2)
+
+    def test_terms_keep_the_reference_quadrature_bits(self, denjoy50):
+        # the end values of log h' feed both the quadrature and term_a
+        home = denjoy50.wandering_arc
+        for lo, hi in ((0.1, 0.4), (0.3, 0.9)):
+            x, y = home.start + lo * home.length, home.start + hi * home.length
+            logd = log_derivative_function(denjoy50.base, x, y)
+            avg_log = adaptive_simpson_reference(logd, x, y, tol=QUAD_TOL) / (y - x)
+            hx, hy = denjoy50.base.lift_eval(np.array([x, y])).tolist()
+            br = decompose_ab(denjoy50.base, x, y)
+            assert br.term_a == logd(x) + logd(y) - 2.0 * avg_log
+            assert br.term_b == math.log((hy - hx) / (y - x)) - avg_log
 
 
 class TestDeltaFactor:

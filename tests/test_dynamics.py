@@ -240,6 +240,43 @@ def _tied_neighbours(f, x0, n):
     return order[tied + 1] - order[tied]
 
 
+_TIE_POOL = [0.0, -0.0, 0.125, 0.25, 0.375]
+tied_positions = st.lists(st.sampled_from(_TIE_POOL), min_size=1, max_size=300)
+distinct_positions = st.lists(st.floats(-0.0, 0.4), min_size=1, max_size=300,
+                              unique=True)
+
+
+def _period_test_on(pts):
+    """``_orbit_and_period`` on the circle positions pts, fed in through a
+    stub orbit that ends at 0.7: no displacement x_n - x_k closes, so the
+    positions go straight to the exact-repeat witness."""
+    orbit = np.append(pts, 0.7)
+    with mock.patch.object(dynamics, "orbit_lift", lambda f, x0, m: orbit[:m + 1]), \
+            mock.patch.object(dynamics, "frac", lambda x: x):
+        return dynamics._orbit_and_period(None, 0.0, pts.size)
+
+
+@settings(max_examples=60)
+@given(st.one_of(tied_positions, distinct_positions))
+def test_period_test_order_is_the_stable_argsort(positions):
+    pts = np.array(positions)
+    test = _period_test_on(pts)
+    stable = np.argsort(pts, kind="stable")
+    assert np.array_equal(test.order, stable)
+    ranked = pts[stable]
+    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
+    period = int(np.min(stable[tied + 1] - stable[tied])) if tied.size else None
+    assert (test.period, test.witness) == (
+        period, dynamics.EXACT_REPEAT if tied.size else None)
+
+
+def test_signed_zeros_count_as_a_tie():
+    pts = np.array([0.0, -0.0, 0.25] * 40)
+    test = _period_test_on(pts)
+    assert np.array_equal(test.order, np.argsort(pts, kind="stable"))
+    assert test.period == 1
+
+
 class TestExactRepeatWitness:
     """A period from exact float repeats, where x_w does not close."""
 

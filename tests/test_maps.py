@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 from _orbit_reference import orbit_lift_reference
 from _overlap_reference import first_overlap_pairwise
 from _oracles import compose
+from _simpson_reference import validate_lift_reference
 from _smooth_reference import periodic_lift
-from denjoylab import (Arc, arc_image, inverse_eval, make_map, orbit_lift,
-                       validate_lift)
+from conftest import SQRT2_M1, counting_lift
+from denjoylab import (Arc, arc_image, inverse_eval, make_denjoy, make_map,
+                       orbit_lift, validate_lift)
 from denjoylab.maps import first_overlap
 from denjoylab.util import circle_dist, frac
 
@@ -308,7 +311,7 @@ def test_validate_lift_accepts_smooth_family():
     assert rep.increment_defect <= 1e-8
 
 
-def test_validate_lift_fails_a_nan_derivative():
+def _nan_derivative_map():
     smooth = _arnold(0.35, 0.8)
 
     def deriv(x):
@@ -316,38 +319,131 @@ def test_validate_lift_fails_a_nan_derivative():
         return np.where((0.3001 < t) & (t < 0.3002), math.nan,
                         smooth.lift_derivative(x))
 
-    rep = validate_lift(dataclasses.replace(smooth, lift_derivative=deriv),
-                        grid_size=2000)
-    assert math.isnan(rep.increment_defect)
-    assert not rep.passed
+    return dataclasses.replace(smooth, lift_derivative=deriv)
 
 
-def test_validate_lift_fails_a_nan_lift():
+def _nan_lift_map():
     smooth = _arnold(0.35, 0.8)
 
     def lift(x):
         t = frac(np.asarray(x, dtype=float))
         return np.where((0.5 < t) & (t < 0.5006), math.nan, smooth.lift_eval(x))
 
-    rep = validate_lift(dataclasses.replace(smooth, lift_eval=lift), grid_size=2000)
+    return dataclasses.replace(smooth, lift_eval=lift)
+
+
+def _stair_map():
+    return periodic_lift(lambda u: -u)      # F(x) = floor(x)
+
+
+def _fold_map():
+    # sin displacement with amplitude above 1/(2 pi) makes the lift fold
+    return periodic_lift(lambda x: 0.3 * np.sin(2.0 * np.pi * x))
+
+
+def test_validate_lift_fails_a_nan_derivative():
+    rep = validate_lift(_nan_derivative_map(), grid_size=2000)
+    assert math.isnan(rep.increment_defect)
+    assert not rep.passed
+
+
+def test_validate_lift_fails_a_nan_lift():
+    rep = validate_lift(_nan_lift_map(), grid_size=2000)
     assert math.isnan(rep.monotonicity_defect)
     # the NaN monotonicity defect fails the check by itself
     assert not dataclasses.replace(rep, periodicity_defect=0.0).passed
 
 
 def test_validate_lift_gives_plus_zero_for_a_flat_lift():
-    stair = periodic_lift(lambda u: -u)      # F(x) = floor(x)
-    rep = validate_lift(stair, grid_size=100)
+    rep = validate_lift(_stair_map(), grid_size=100)
     assert rep.monotonicity_defect == 0.0
     assert math.copysign(1.0, rep.monotonicity_defect) == 1.0
 
 
 def test_validate_lift_flags_folding_map():
-    # sin displacement with amplitude above 1/(2 pi) makes the lift fold
-    fold = periodic_lift(lambda x: 0.3 * np.sin(2.0 * np.pi * x))
-    rep = validate_lift(fold, grid_size=500)
+    rep = validate_lift(_fold_map(), grid_size=500)
     assert rep.monotonicity_defect > 0.0
     assert rep.periodicity_defect <= 1e-12
+
+
+def _np_float64_derivative_map():
+    """Arnold (0.3, 0.3) whose scalar derivative returns np.float64."""
+    smooth = _arnold(0.3, 0.3)
+    return dataclasses.replace(
+        smooth, lift_derivative=lambda x: np.float64(smooth.lift_derivative(x)))
+
+
+def _same_report(got, want):
+    """Field by field, floats by their bits, so NaN equals NaN and the
+    sign of a zero counts."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, float):
+            if not (type(a) is float and np.float64(a).view(np.int64)
+                    == np.float64(b).view(np.int64)):
+                return False
+        elif a != b:
+            return False
+    return True
+
+
+#: (map, grid size) pairs on which validate_lift keeps the reference's report
+VALIDATE_CASES = {
+    "denjoy-n30": (lambda: make_denjoy(SQRT2_M1, N=30, mass=0.5).base, 2048),
+    "denjoy-n50": (lambda: make_denjoy(SQRT2_M1, N=50, mass=0.5).base, 2048),
+    "denjoy-n100": (lambda: make_denjoy(SQRT2_M1, N=100, mass=0.5).base, 2048),
+    "arnold-0.3-0.5": (lambda: _arnold(0.3, 0.5), 2000),
+    "rigid": (lambda: make_map({"kind": "rigid", "alpha": 0.618}), 500),
+    "nan-derivative": (_nan_derivative_map, 2000),
+    "nan-lift": (_nan_lift_map, 2000),
+    "stair": (_stair_map, 100),
+    "fold": (_fold_map, 500),
+    "np-float64-derivative": (_np_float64_derivative_map, 1000),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATE_CASES)
+def test_validate_lift_keeps_the_reference_report(case):
+    build, grid_size = VALIDATE_CASES[case]
+    diffeo = build()
+    got = validate_lift(diffeo, grid_size=grid_size)
+    assert _same_report(got, validate_lift_reference(diffeo, grid_size))
+
+
+def test_a_moved_defect_fails_the_report_check():
+    diffeo = _arnold(0.3, 0.5)
+    ref = validate_lift_reference(diffeo, 200)
+    nudged = np.nextafter(ref.increment_defect, 1.0)
+    assert not _same_report(dataclasses.replace(ref, increment_defect=nudged), ref)
+    assert not _same_report(dataclasses.replace(ref, monotonicity_defect=-0.0), ref)
+    nan = dataclasses.replace(ref, increment_defect=math.nan)
+    assert _same_report(nan, nan)
+
+
+def test_validate_lift_calls_the_derivative_once_per_knot():
+    smooth = _arnold(0.3, 0.5)
+    scalar_args = []
+
+    def deriv(x):
+        if isinstance(x, float):
+            scalar_args.append(x)
+        return smooth.lift_derivative(x)
+
+    counted = dataclasses.replace(smooth, lift_derivative=deriv)
+    knots = np.linspace(0.0, 1.0, 201).tolist()
+    for validate, interior in ((validate_lift, 1), (validate_lift_reference, 2)):
+        scalar_args.clear()
+        validate(counted, 200)
+        seen = Counter(scalar_args)
+        assert [seen[k] for k in knots] == [1] + [interior] * 199 + [1]
+
+
+@pytest.mark.parametrize("grid_size", [0, -3])
+def test_validate_lift_rejects_an_empty_grid(grid_size):
+    counted, calls = counting_lift(_arnold(0.3, 0.5))
+    with pytest.raises(ValueError, match=f"grid_size must be >= 1, got {grid_size}$"):
+        validate_lift(counted, grid_size=grid_size)
+    assert calls == []
 
 
 def test_compose_rotations_adds_angles():

@@ -1,13 +1,16 @@
 """Circle arithmetic, quadrature and continued-fraction helpers."""
+import inspect
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from denjoylab import Arc
-from denjoylab.util import (adaptive_simpson, ccw_gap, circle_dist,
-                            continued_fraction, dyadic_grid, frac)
+from _simpson_reference import adaptive_simpson_reference
+from denjoylab import Arc, util
+from denjoylab.util import (SIMPSON_MAX_DEPTH, adaptive_simpson, ccw_gap,
+                            circle_dist, continued_fraction, dyadic_grid, frac)
 
 
 def test_frac_wraps_into_unit_interval():
@@ -80,6 +83,88 @@ def test_adaptive_simpson_returns_nan_without_refining_it():
     assert math.isnan(adaptive_simpson(half_nan, 0.0, 1.0))
     # one split of the whole interval already shows a NaN correction
     assert len(calls) == 5
+
+
+def _poly(coefs):
+    def f(x):
+        y = 0.0
+        for c in coefs:
+            y = y * x + c
+        return y
+    return f
+
+
+def _sine(amp, freq, phase):
+    return lambda x: amp * math.sin(freq * x + phase)
+
+
+def _kink(c):
+    return lambda x: abs(x - c)
+
+
+def _step(c):
+    """A jump at c: the split around it never meets its tolerance."""
+    return lambda x: 0.0 if x < c else 1.0
+
+
+def _nan_past(c):
+    return lambda x: math.nan if x > c else x
+
+
+_INTEGRANDS = {"poly": _poly, "sine": _sine, "kink": _kink, "step": _step,
+               "nan": _nan_past}
+_coef = st.floats(-10.0, 10.0)
+#: (name in _INTEGRANDS, arguments of its builder)
+integrands = st.one_of(
+    st.lists(_coef, min_size=1, max_size=7).map(lambda cs: ("poly", (cs,))),
+    st.tuples(_coef, st.floats(0.1, 6.0), _coef).map(lambda t: ("sine", t)),
+    st.floats(-3.0, 3.0).map(lambda c: ("kink", (c,))))
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _simpson_matches_reference(simpson, f, a, b, tol):
+    """simpson gives the reference's bits on f over [a, b]: value, NaN and
+    the sign of a zero."""
+    return _bits(simpson(f, a, b, tol)) == _bits(adaptive_simpson_reference(f, a, b, tol))
+
+
+@example(("step", (0.3183098861837907,)), 0.0, 1.0, 1e-10)
+@example(("nan", (0.6,)), 0.0, 1.0, 1e-10)
+@example(("poly", ([-0.0],)), 0.0, 1.0, 1e-10)
+@example(("poly", ([0.0],)), 1.0, -1.0, 1e-10)
+@given(integrands, st.floats(-3.0, 3.0), st.floats(-4.0, 4.0).filter(bool),
+       st.floats(1e-12, 1e-2))
+def test_adaptive_simpson_keeps_the_reference_bits(integrand, a, width, tol):
+    name, args = integrand
+    f = _INTEGRANDS[name](*args)
+    assert _simpson_matches_reference(adaptive_simpson, f, a, a + width, tol)
+
+
+def test_the_step_example_reaches_the_depth_cap():
+    nodes = []
+
+    def f(x):
+        nodes.append(x)
+        return _step(0.3183098861837907)(x)
+
+    adaptive_simpson(f, 0.0, 1.0, 1e-10)
+    # a split at depth d spans 2**-d, and its quarter points are 2**-(d + 2) apart
+    assert min(np.diff(np.unique(nodes))) == 2.0 ** -(SIMPSON_MAX_DEPTH + 2)
+
+
+def test_a_leaf_without_its_correction_fails_the_bit_check():
+    # the kernel's own source with corr / 15.0 dropped from the leaf sum
+    source = inspect.getsource(util)
+    leaf = "return left + right + corr / 15.0"
+    assert source.count(leaf) == 1
+    mutant = {"__name__": "denjoylab._simpson_mutant", "__package__": "denjoylab"}
+    exec(compile(source.replace(leaf, "return left + right"), "mutant", "exec"), mutant)
+    assert _simpson_matches_reference(adaptive_simpson, math.sin, 0.0, 3.0, 1e-10)
+    assert not _simpson_matches_reference(mutant["adaptive_simpson"], math.sin,
+                                          0.0, 3.0, 1e-10)
 
 
 def test_dyadic_grid_shape_and_endpoints():
