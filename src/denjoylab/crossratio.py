@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (DegenerateTupleError, NonMonotoneMapError,
                      OverlappingArcsError)
 from .maps import CircleDiffeo, first_overlap, orbit_lift
-from .util import _simpson_cell
+from .util import adaptive_simpson
 from .variation import (_derivative, _qv_resolved, log_derivative_function,
                         zygmund_variation_estimate)
 
@@ -136,10 +136,9 @@ def decompose_ab(h, x: float, y: float) -> DistortionBreakdown:
     hx, hy = _lift_pair(h, x, y)
     log_koebe = _koebe_log_ratio(h, x, y, hx, hy)
     logd = log_derivative_function(h, x, y)
-    lx, ly = logd(x), logd(y)
-    avg_log = _simpson_cell(logd, x, y, lx, ly, QUAD_TOL) / (y - x)
+    avg_log = adaptive_simpson(logd, x, y, tol=QUAD_TOL) / (y - x)
     log_quotient = math.log((hy - hx) / (y - x))
-    term_a = float(lx) + float(ly) - 2.0 * avg_log
+    term_a = float(logd(x)) + float(logd(y)) - 2.0 * avg_log
     term_b = log_quotient - avg_log
     return DistortionBreakdown(
         log_koebe=log_koebe, term_a=term_a, term_b=term_b,

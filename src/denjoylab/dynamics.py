@@ -192,10 +192,9 @@ def _orbit_and_period(diffeo: CircleDiffeo, x0: float, n: int) -> _PeriodTest:
     an integer, and only the w steps the test reads are iterated.
     An exact repeat: when x_w does not close, the same orbit is extended
     to x_n through ``orbit_lift``'s slot and its circle positions x_0 ..
-    x_(n-1) are sorted, once more stably when two are equal.  Tied
-    neighbours are positions equal mod 1 to the last bit, and the period
-    is the smallest index gap between them; the stable sort keeps each
-    run of ties in orbit order.
+    x_(n-1) are sorted stably, once.  Tied neighbours are positions equal
+    mod 1 to the last bit, and the period is the smallest index gap
+    between them; the stable sort keeps each run of ties in orbit order.
     With neither witness the period is None.
     """
     window = min(n, PERIOD_WINDOW)
@@ -207,12 +206,10 @@ def _orbit_and_period(diffeo: CircleDiffeo, x0: float, n: int) -> _PeriodTest:
     if n > window:
         orbit = orbit_lift(diffeo, x0, n)
     pts = frac(orbit)
-    # distinct keys have one sorting order, so only ties need the stable sort
-    order = np.argsort(pts[:n])
+    order = np.argsort(pts[:n], kind="stable")
     ranked = pts[order]
     tied = np.flatnonzero(ranked[1:] == ranked[:-1])
     if tied.size:
-        order = np.argsort(pts[:n], kind="stable")
         period = int(np.min(order[tied + 1] - order[tied]))
         return _PeriodTest(orbit, period, EXACT_REPEAT, pts, order)
     return _PeriodTest(orbit, None, None, pts, order)

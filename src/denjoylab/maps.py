@@ -101,8 +101,7 @@ class CircleDiffeo:
             in place with F(buf[0]), F^2(buf[0]), ..., bit for bit the scalar
             path's floats and raising where it raises, for ``orbit_lift``;
             a wrapper or replacement of it drops ``orbit``.
-        lift_derivative: F' when the map is C1, else None; on a float it
-            gives a float64 value (a float, an ``np.float64`` or a 0-d array).
+        lift_derivative: F' when the map is C1, else None.
         label: human-readable tag used in reports.
         lift_inverse: a closed-form F^{-1} on floats, or None to let
             ``inverse_eval`` solve F(x) = y with ``util.solve_increasing``.
@@ -272,6 +271,11 @@ def validate_lift(diffeo: CircleDiffeo,
         deriv = diffeo.lift_derivative
         knots = xs.tolist()
         ends = [deriv(t) for t in knots]
+        if not isinstance(ends[0], float):
+            # read a float32 or array F' through float(), or the sums keep its type
+            raw = diffeo.lift_derivative
+            deriv = lambda t: float(raw(t))
+            ends = [float(v) for v in ends]
         defects = [abs(_simpson_cell(deriv, a, b, fa, fb, VALIDATE_QUAD_TOL) - df)
                    for a, b, fa, fb, df in zip(knots, knots[1:], ends, ends[1:],
                                                increments.tolist())]

@@ -373,6 +373,20 @@ def _np_float64_derivative_map():
         smooth, lift_derivative=lambda x: np.float64(smooth.lift_derivative(x)))
 
 
+def _np_float32_derivative_map():
+    """Arnold (0.3, 0.3) whose derivative returns np.float32 values."""
+    smooth = _arnold(0.3, 0.3)
+    return dataclasses.replace(
+        smooth, lift_derivative=lambda x: np.float32(smooth.lift_derivative(x)))
+
+
+def _array_derivative_map():
+    """Arnold (0.3, 0.3) whose scalar derivative returns a 0-d array."""
+    smooth = _arnold(0.3, 0.3)
+    return dataclasses.replace(
+        smooth, lift_derivative=lambda x: np.asarray(smooth.lift_derivative(x)))
+
+
 def _same_report(got, want):
     """Field by field, floats by their bits, so NaN equals NaN and the
     sign of a zero counts."""
@@ -399,6 +413,8 @@ VALIDATE_CASES = {
     "stair": (_stair_map, 100),
     "fold": (_fold_map, 500),
     "np-float64-derivative": (_np_float64_derivative_map, 1000),
+    "np-float32-derivative": (_np_float32_derivative_map, 1000),
+    "array-derivative": (_array_derivative_map, 1000),
 }
 
 
