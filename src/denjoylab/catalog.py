@@ -155,7 +155,15 @@ def make_map(recipe: Mapping) -> CircleDiffeo:
 
 @dataclass(frozen=True)
 class DenjoyMap:
-    """A C1 circle diffeomorphism carrying an explicit wandering arc.
+    """A truncated Denjoy construction: a C1 circle diffeomorphism built
+    by blowing up 2N + 1 points of an orbit of the rotation by ``alpha``.
+
+    It is not the counterexample it truncates.  Its log Df has bounded
+    variation, so by Denjoy's theorem it has no wandering interval when
+    its own rotation number rho(N), which differs from ``alpha``, is
+    irrational.  ``wandering_arc`` stays disjoint from its images only up
+    to a horizon that grows with N: at alpha = sqrt(2) - 1 and mass 0.5
+    it first meets itself at step 408, 985 and 8 935 for N = 30, 50, 100.
 
     ``inserted_lengths``, ``insertion_starts`` and ``insertion_arcs`` are
     ordered by the signed orbit index n = -truncation .. truncation; index
@@ -232,7 +240,8 @@ def _assert_irrational(alpha: float, N: int) -> None:
 
 
 def make_denjoy(alpha: float, N: int, mass: float) -> DenjoyMap:
-    """Build a truncated wandering-interval diffeomorphism.
+    """Build a truncated Denjoy construction, whose arc wanders only up
+    to a horizon that grows with N (see ``DenjoyMap``).
 
     At each angle frac(n alpha), n in [-N, N], an interval of length
     mass * c0 / (|n| + 2)^2 is inserted (c0 normalizes the total inserted

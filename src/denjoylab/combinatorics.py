@@ -15,6 +15,7 @@ estimate.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -80,8 +81,10 @@ def predecessor_successor_table(arcs: Sequence[Arc]) -> OrbitCombinatorics:
     index below n+a sits in the arrival gap, the opposite predecessor
     stays off the bridge spanned by the triple, and the jump a with its
     side continues the chain through I_n when I_n is itself a
-    successor.  Construction is sequential in n; the finished table is
-    immutable and safe to query concurrently.
+    successor.  Each of these relations depends on circular order alone,
+    so all of them are read off the ranks of the arcs' starts, which a
+    disjoint family never ties.  Construction is sequential in n; the
+    finished table is immutable and safe to query concurrently.
     """
     arcs = tuple(arcs)
     if not arcs:
@@ -91,54 +94,38 @@ def predecessor_successor_table(arcs: Sequence[Arc]) -> OrbitCombinatorics:
         raise OverlappingArcsError(f"arcs {clash[0]} and {clash[1]} overlap; "
                                    "the table needs a pairwise disjoint family")
     count = len(arcs)
-    top = count - 1
-    starts = np.array([a.start for a in arcs])
-    ends = np.array([a.end for a in arcs])
-    centers = np.array([a.midpoint() for a in arcs])
-    idx = np.arange(count)
+    order = sorted(range(count), key=lambda i: arcs[i].start)
+    rank = sorted(range(count), key=order.__getitem__)
+
+    def ccw(i: int, j: int) -> int:  # rank steps going ccw from I_i to I_j
+        return (rank[j] - rank[i]) % count
 
     left = [None] * count
     right = [None] * count
+    seen = rank[:1]     # ranks of I_0 .. I_{n-1}, sorted
+    for n in range(1, count):
+        k = bisect.bisect(seen, rank[n])
+        left[n], right[n] = order[seen[k - 1]], order[seen[k % n]]
+        seen.insert(k, rank[n])
+
     succ = [None] * count
     side = [None] * count
-    for n in range(1, count):
-        left[n] = int(np.argmin(frac(starts[n] - ends[:n])))
-        right[n] = int(np.argmin(frac(starts[:n] - ends[n])))
-
     chain = {}      # target index -> (jump, side) of the chain reaching it
     for n in range(1, count):
         winners = []
-        for role in ("L", "R"):
-            pred = left[n] if role == "L" else right[n]
+        for pred, other, arrival, beside in ((left[n], right[n], "right", left),
+                                             (right[n], left[n], "left", right)):
             a = n - pred
             t = n + a
-            if a < 1 or t > top:
-                continue
-            if role == "L":
-                ordered = ccw_gap(centers[pred], centers[n]) < ccw_gap(
-                    centers[pred], centers[t])
-                arrival = "right"
-                b_lo, b_hi = starts[pred], ends[t]
-                g_lo, g_hi = ends[n], starts[t]
-            else:
-                ordered = ccw_gap(centers[t], centers[n]) < ccw_gap(
-                    centers[t], centers[pred])
-                arrival = "left"
-                b_lo, b_hi = starts[t], ends[pred]
-                g_lo, g_hi = ends[t], starts[n]
-            if not ordered:
-                continue
-            other = right[n] if role == "L" else left[n]
-            if other != pred and arcs[other].intersects(Arc(b_lo, b_hi)):
-                continue
-            gap_len = ccw_gap(g_lo, g_hi)
-            off = frac(centers - g_lo)
-            blocked = (off > 0.0) & (off < gap_len) & (idx < t) & (idx != n)
-            if bool(blocked.any()):
-                continue
-            if n in chain and chain[n] != (a, arrival):
-                continue
-            winners.append((t, a, arrival))
+            # the triple runs ccw from lo through I_n to hi, and so does the
+            # bridge; no arc below t sits in the arrival gap when I_n is
+            # I_t's predecessor on that side
+            lo, hi = (pred, t) if arrival == "right" else (t, pred)
+            if (t < count and ccw(lo, n) < ccw(lo, hi)
+                    and not 0 < ccw(lo, other) < ccw(lo, hi)
+                    and beside[t] == n
+                    and chain.get(n, (a, arrival)) == (a, arrival)):
+                winners.append((t, a, arrival))
         if len(winners) > 1:
             raise ArithmeticError(
                 f"arc {n} admits two successors {winners}; the family does "
@@ -155,7 +142,7 @@ def predecessor_successor_table(arcs: Sequence[Arc]) -> OrbitCombinatorics:
             continue
         lo = succ[n] if side[n] == "left" else left[n]
         hi = succ[n] if side[n] == "right" else right[n]
-        nbhd[n] = Arc(starts[lo], ends[hi])
+        nbhd[n] = Arc(arcs[lo].start, arcs[hi].end)
 
     return OrbitCombinatorics(
         arcs=arcs, left_pred=tuple(left), right_pred=tuple(right),

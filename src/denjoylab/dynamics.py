@@ -233,8 +233,9 @@ def wandering_verdict(diffeo: CircleDiffeo, arc: Arc,
 
     All separated by more than ``WANDERING_TOL`` reads wandering-up-to-n;
     otherwise the verdict is overlap-at the first clashing index pair.
-    An image that collapses below floating-point resolution ends the
-    scan: the images before it are judged, with ``min_length`` 0.
+    An image that collapses below floating-point resolution, or whose
+    complement does, ends the scan: the images before it are judged, with
+    ``min_length`` 0.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")

@@ -28,8 +28,9 @@ class NonMonotoneMapError(DenjoyLabError):
 
 
 class CollapsedArcError(DenjoyLabError, ValueError):
-    """An arc's image shrank below floating-point resolution: the lift
-    endpoints of the image no longer strictly increase."""
+    """An arc's image, or the gap between its ends (the rest of the
+    circle), shrank below floating-point resolution: the image's lift span
+    is not strictly between 0 and 1."""
 
 
 class FloatRangeError(DenjoyLabError, OverflowError):

@@ -207,12 +207,12 @@ def _store_orbit(diffeo: CircleDiffeo, orbit: list[float]) -> None:
 def arc_image(diffeo: CircleDiffeo, arc: Arc) -> Arc:
     """Image of a closed arc under the circle map.
 
-    CollapsedArcError when the image's lift endpoints do not strictly
-    increase: reduced mod 1 they would give an empty or a near-full arc.
+    CollapsedArcError when the image's lift span is not strictly between
+    0 and 1: reduced mod 1 its ends would give an empty or a full arc.
     """
     lo = diffeo.lift_eval(arc.start)
     hi = diffeo.lift_eval(arc.start + arc.length)
-    if hi <= lo:
+    if not 0.0 < hi - lo < 1.0:
         raise CollapsedArcError(
             f"image of {arc} collapsed: lift endpoints {lo!r}, {hi!r}")
     return Arc(lo, hi)

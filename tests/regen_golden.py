@@ -48,6 +48,14 @@ MAPS = {
     "denjoy-sqrt2m1-n50-x0": (
         ["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 50"], ["x0 = 0.3"]),
     "denjoy-sqrt2m1-n100": (["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 100"], []),
+    # the CLI's largest table: jumps 1, 3, 5, ..., 377 on the tuned map,
+    # the Pell numbers up to 408 on the Denjoy map (at N = 50 the arc meets
+    # itself at step 985)
+    "arnold-tuned-0.3-count1000": (
+        ["kind = arnold", "alpha = 0.6166966281891195", "amplitude = 0.3"],
+        ["count = 1000"]),
+    "denjoy-sqrt2m1-n100-count1000": (
+        ["kind = denjoy", f"alpha = {SQRT2_M1!r}", "N = 100"], ["count = 1000"]),
     # the dust-anchor screen fails here: pipelines that read the anchor
     # raise a RuntimeError, the others report
     "denjoy-golden-n30": (["kind = denjoy", f"alpha = {GOLDEN!r}", "N = 30"], []),

@@ -1,5 +1,6 @@
 """Orbit-arc predecessors, successors, neighborhoods and Koebe constants."""
 import math
+import re
 import time
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _combinatorics_oracle import arc_meets_span, brute_table
-from denjoylab import (Arc, DenjoyLabError, FloatRangeError, KoebeConstants,
-                       OverlappingArcsError, eps_scale,
+from _table_reference import predecessor_successor_table_scan
+from conftest import accepted_denjoy
+from denjoylab import (Arc, CollapsedArcError, DenjoyLabError, FloatRangeError,
+                       KoebeConstants, OverlappingArcsError, eps_scale,
                        intersection_multiplicity, interval_orbit, make_map,
                        macroscopic_delta, natural_neighborhood,
                        predecessor_successor_table, pullback_arcs)
@@ -119,6 +122,12 @@ class TestNaturalNeighborhood:
         with pytest.raises(ValueError):
             natural_neighborhood(t, 0)
 
+    def test_index_past_the_table_rejected(self):
+        _, arcs = point_arcs(GOLDEN, 10)
+        t = predecessor_successor_table(arcs)
+        with pytest.raises(ValueError, match="index 11 outside table of size 11"):
+            natural_neighborhood(t, 11)
+
 
 UNIT = st.floats(0.0, 1.0, exclude_max=True)
 #: a span end: any point, or an end of the tested arc
@@ -131,8 +140,8 @@ END = st.one_of(UNIT, st.sampled_from(["start", "end"]))
 @example(0.9, 0.2, "end", 0.5)        # the span starts where the arc ends
 @example(0.7, 0.2, 0.95, "start")     # the wrapped span ends where the arc starts
 def test_bridge_test_is_arc_intersects(a_start, a_len, lo, hi):
-    """The table's bridge test, now ``Arc.intersects``, answers as the
-    former ``_arc_meets_span`` did, closed ends and wrapped arcs included."""
+    """``Arc.intersects`` answers as the table's former bridge test
+    ``_arc_meets_span`` did, closed ends and wrapped arcs included."""
     try:
         arc = Arc(a_start, a_start + a_len)
         lo = {"start": arc.start, "end": arc.end}.get(lo, lo)
@@ -142,6 +151,62 @@ def test_bridge_test_is_arc_intersects(a_start, a_len, lo, hi):
         assume(False)   # an empty or full arc: the table never builds one
     assert arc.intersects(span) == arc_meets_span(arc.start, arc.length,
                                                   span.start, span.end)
+
+
+#: family endpoints are multiples of 2^-GRID_BITS: every difference, frac
+#: and midpoint the float reference takes of them is then exact
+GRID_BITS = 40
+
+
+@st.composite
+def disjoint_family(draw):
+    """1 to 14 pairwise disjoint arcs of any widths, in shuffled index
+    order; with ``shift`` the last arc in circular order crosses 0."""
+    m = draw(st.integers(1, 14))
+    ticks = sorted(draw(st.lists(st.integers(0, 2 ** GRID_BITS - 1),
+                                 min_size=2 * m, max_size=2 * m, unique=True)))
+    shift = draw(st.integers(0, 1))
+    ends = [k / 2 ** GRID_BITS for k in ticks[shift:] + ticks[:shift]]
+    return draw(st.permutations([Arc(ends[2 * k], ends[2 * k + 1])
+                                 for k in range(m)]))
+
+
+@st.composite
+def denjoy_family(draw):
+    """The wandering arc of a Denjoy map and its first 1 to 150 images,
+    which may meet: then both tables raise OverlappingArcsError."""
+    f = draw(accepted_denjoy())
+    try:
+        return [f.wandering_arc] + interval_orbit(
+            f.base, f.wandering_arc, draw(st.integers(1, 150)))
+    except CollapsedArcError:
+        assume(False)
+
+
+def _table_or_error(build, arcs):
+    try:
+        return build(arcs)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+#: the reference's arrival-gap scan rejects arc 2's one candidate, I_4:
+#: I_3 lies between I_4 and I_2
+GAP_REJECTED = [Arc(0.65, 0.8), Arc(0.9, 0.95), Arc(0.5, 0.6), Arc(0.2, 0.25),
+                Arc(0.05, 0.1)]
+#: no wandering orbit: arc 3 closes a triple on each side
+TWO_SUCCESSORS = [Arc(0.923, 0.007), Arc(0.83, 0.862), Arc(0.129, 0.193),
+                  Arc(0.476, 0.501), Arc(0.561, 0.677), Arc(0.294, 0.372)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(disjoint_family(), denjoy_family()))
+@example(GAP_REJECTED)
+@example(TWO_SUCCESSORS)
+def test_table_matches_float_scan(arcs):
+    """The rank table gives the float-scan table's five fields, or its error."""
+    assert _table_or_error(predecessor_successor_table, arcs) == _table_or_error(
+        predecessor_successor_table_scan, arcs)
 
 
 def _strictly_inside(arc, T):
@@ -160,6 +225,16 @@ class TestTableInputs:
         assert issubclass(OverlappingArcsError, ValueError)
         with pytest.raises(OverlappingArcsError, match="arcs 0 and 1 overlap"):
             predecessor_successor_table([Arc(0.0, 0.2), Arc(0.1, 0.3)])
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="need at least one arc"):
+            predecessor_successor_table([])
+
+    def test_two_successors_rejected(self):
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "arc 3 admits two successors [(4, 1, 'right'), (5, 2, 'left')]; "
+                "the family does not look like a wandering orbit")):
+            predecessor_successor_table(TWO_SUCCESSORS)
 
     def test_denjoy_arcs_reproduce_rotation_table(self, denjoy50):
         n = 25
@@ -185,6 +260,10 @@ class TestIntersectionMultiplicity:
     def test_shared_endpoint_counts(self):
         assert intersection_multiplicity([Arc(0.1, 0.3), Arc(0.3, 0.5)]) == 2
 
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="need at least one arc"):
+            intersection_multiplicity([])
+
 
 class TestPullbacks:
     def test_rotation_preimages_translate(self):
@@ -194,6 +273,11 @@ class TestPullbacks:
         assert fam[1].start == pytest.approx(0.25)
         assert fam[2].start == pytest.approx(0.0, abs=1e-9)
         assert all(a.length == pytest.approx(0.1, abs=1e-9) for a in fam)
+
+    def test_negative_count_rejected(self):
+        f = make_map({"kind": "rigid", "alpha": 0.25})
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            pullback_arcs(f, Arc(0.5, 0.6), -1)
 
     def test_neighborhood_pullbacks_stay_thin(self, denjoy50):
         arcs = [denjoy50.wandering_arc] + interval_orbit(

@@ -88,6 +88,24 @@ class TestKoebeLogRatio:
         with pytest.raises(ValueError):
             koebe_log_ratio(golden_rotation, 0.7, 0.2)
 
+    def test_folding_lift_is_a_named_error(self):
+        # x^2 reverses the order of -2 < -1
+        sq = CircleDiffeo(lift_eval=lambda x: np.asarray(x, dtype=float) ** 2,
+                          lift_derivative=lambda x: 2.0 * np.asarray(x),
+                          label="square")
+        with pytest.raises(NonMonotoneMapError,
+                           match=r"map is not increasing on \(-2\.0, -1\.0\)"):
+            koebe_log_ratio(sq, -2.0, -1.0)
+
+    def test_nonpositive_derivative_rejected(self):
+        # an increasing lift whose stored derivative reads 0 at x
+        flat = CircleDiffeo(lift_eval=lambda x: np.asarray(x, dtype=float),
+                            lift_derivative=lambda x: 0.0 * np.asarray(x),
+                            label="flat")
+        with pytest.raises(ValueError,
+                           match="derivative must be positive, got 0.0, 0.0"):
+            koebe_log_ratio(flat, 0.2, 0.7)
+
 
 class TestDecomposition:
     def test_identity_and_bounds(self):

@@ -12,8 +12,8 @@ import _semiconj_reference as reference
 import _verdict_reference
 from _orbit_reference import orbit_lift_reference
 from conftest import SQRT2_M1, count_lift_in_place, counting_lift, smooth_map
-from denjoylab import (Arc, CollapsedArcError, PeriodicOrbitError, arc_image,
-                       birkhoff_estimate, build_semiconjugacy,
+from denjoylab import (Arc, CollapsedArcError, DenjoyLabError, PeriodicOrbitError,
+                       arc_image, birkhoff_estimate, build_semiconjugacy,
                        conjugacy_verdict, dynamics, interval_orbit, make_denjoy,
                        make_map, omega_gap_profile, orbit_lift,
                        wandering_verdict)
@@ -66,6 +66,19 @@ class TestWanderingVerdict:
         assert v.kind == "overlap-at"
         assert v.pair == first_overlap(images, dynamics.WANDERING_TOL)
         assert v.min_length == 0.0
+
+    def test_full_turn_image_is_a_collapsed_arc(self):
+        # the arc holds the repelling fixed point: image 36 has length
+        # 1 - 7e-16, and the lift span of image 37 is exactly 1.0
+        f = make_map({"kind": "arnold", "alpha": 0.99, "amplitude": 0.7})
+        arc = Arc(0.0, 0.02)
+        assert interval_orbit(f, arc, 36)[-1].length == 0.9999999999999993
+        with pytest.raises(CollapsedArcError, match="collapsed: lift endpoints "
+                           "1.485695032925395, 2.485695032925395") as err:
+            interval_orbit(f, arc, 40)
+        assert isinstance(err.value, DenjoyLabError)  # a stage exits 1, not 2
+        v = wandering_verdict(f, arc, 40)
+        assert v.kind == "overlap-at" and v.min_length == 0.0
 
 
     def test_clashing_images_are_no_wandering_evidence(self):
